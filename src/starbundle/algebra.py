@@ -43,8 +43,9 @@ def variable_key(name: str) -> tuple[int, int]:
 class Monomial:
     """A product of chart-variable powers and jet-variable powers.
 
-    ``vars`` is a sorted tuple of (name, exponent) with positive
-    exponents; ``jets`` is a sorted tuple of (multi-index, exponent).
+    ``vars`` is a tuple of (name, exponent) with positive exponents,
+    sorted by :func:`variable_key` (the printers rely on this order);
+    ``jets`` is a sorted tuple of (multi-index, exponent).
     The jet multi-index refers to the jet family declared on the
     enclosing function.
     """
@@ -399,7 +400,7 @@ class EquivariantFunction:
             if e:
                 new_vs = dict(vs)
                 new_vs[var] = e - 1
-                put(Monomial(new_vs.items(), mono.jets), coeff * e)
+                put(Monomial(new_vs.items(), mono.jets), coeff.scaled(e))
             if jet_pos is not None:
                 js = mono.jet_map()
                 for alpha, je in mono.jets:
@@ -408,7 +409,7 @@ class EquivariantFunction:
                     new_js = dict(js)
                     new_js[alpha] = je - 1
                     new_js[tuple(shifted)] = new_js.get(tuple(shifted), 0) + 1
-                    put(Monomial(vs.items(), new_js.items()), coeff * je)
+                    put(Monomial(vs.items(), new_js.items()), coeff.scaled(je))
         return EquivariantFunction._make(
             self.chart, terms, self.theta_weight, self.jet_vars, self.weight_factor,
         )

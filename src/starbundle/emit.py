@@ -8,13 +8,13 @@ a given value always emits the same bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .algebra import EquivariantFunction, variable_key
+from .algebra import EquivariantFunction
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
+def _rational_str(part: tuple) -> str:
+    n, d = part
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def chart_id(chart) -> str:
@@ -23,20 +23,19 @@ def chart_id(chart) -> str:
 
 def function_to_document(f: EquivariantFunction) -> dict:
     terms = []
+    weight_factor = f.weight_factor.name if f.weight_factor else None
     for mono, coeff in f.sorted_terms():
-        monomial = {
-            v: e for v, e in sorted(mono.vars, key=lambda item: variable_key(item[0]))
-        }
+        monomial = dict(mono.vars)
         jet = {"psi": [[list(alpha), e] for alpha, e in mono.jets]} if mono.jets else {}
-        for k, c in coeff.items():
+        for k, re, im in coeff.parts():
             terms.append({
-                "re": _fraction_str(c.re),
-                "im": _fraction_str(c.im),
+                "re": _rational_str(re),
+                "im": _rational_str(im),
                 "hbar": k,
                 "monomial": monomial,
                 "jet": jet,
                 "theta_weight": f.theta_weight,
-                "weight_factor": f.weight_factor.name if f.weight_factor else None,
+                "weight_factor": weight_factor,
             })
     return {"chart": chart_id(f.chart), "terms": terms}
 
@@ -45,13 +44,11 @@ def operator_to_document(op) -> dict:
     terms = []
     for alpha, poly in op.sorted_terms():
         for mono, coeff in poly.sorted_terms():
-            monomial = {
-                v: e for v, e in sorted(mono.vars, key=lambda item: variable_key(item[0]))
-            }
-            for k, c in coeff.items():
+            monomial = dict(mono.vars)
+            for k, re, im in coeff.parts():
                 terms.append({
-                    "re": _fraction_str(c.re),
-                    "im": _fraction_str(c.im),
+                    "re": _rational_str(re),
+                    "im": _rational_str(im),
                     "hbar": k,
                     "monomial": monomial,
                     "derivative": list(alpha),

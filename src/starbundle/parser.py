@@ -15,6 +15,12 @@ Grammar (explicit multiplication; variables are 1-indexed):
 Negative ``^`` exponents are accepted so that Laurent powers of hbar
 round-trip through the printer; they lower successfully only on
 invertible scalar subexpressions.
+
+Limits keep hostile input bounded: parentheses nest at most
+``MAX_NESTING`` deep, and ``|exponent|`` may exceed ``MAX_EXPONENT``
+only when the base is a single term whose scalar is a unit (+-1 or
++-i) times a power of hbar, so that the power just adds exponents.
+Both raise :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -26,6 +32,10 @@ from .algebra import EquivariantFunction
 from .errors import ParseError
 from .geometry import Chart
 from .scalars import Coefficient, GaussianRational
+
+MAX_NESTING = 100
+MAX_EXPONENT = 64
+_UNITS = (1, -1, GaussianRational(0, 1), GaussianRational(0, -1))
 
 
 # -- AST -----------------------------------------------------------------
@@ -141,6 +151,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.chart = chart
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -231,8 +242,13 @@ class _Parser:
             return Rational(Fraction(numerator))
         if token.kind == "sym" and token.text == "(":
             self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}",
+                                 column=token.column)
             node = self.expr()
             self.expect_sym(")")
+            self.depth -= 1
             return node
         if token.kind != "name":
             raise ParseError(f"expected an atom, found {token.text or 'end of input'!r}",
@@ -321,27 +337,49 @@ class LoweringContext:
             )
         if isinstance(node, Neg):
             return -self.lower(node.operand)
-        if isinstance(node, Add):
-            return self._combine(node, lambda a, b: a + b, "add")
-        if isinstance(node, Sub):
-            return self._combine(node, lambda a, b: a - b, "subtract")
-        if isinstance(node, Mul):
-            return self.lower(node.left) * self.lower(node.right)
+        if isinstance(node, (Add, Sub, Mul)):
+            return self._chain(node)
         if isinstance(node, Pow):
             base = self.lower(node.base)
+            if abs(node.exponent) > MAX_EXPONENT and not _is_unit_term(base):
+                raise ParseError(
+                    f"exponent {node.exponent} exceeds {MAX_EXPONENT} on a base that is not "
+                    "a single term with a unit scalar"
+                )
             if node.exponent >= 0:
                 return base ** node.exponent
             value = _invert_scalar(base)
             return base.chart.constant(value ** (-node.exponent))
         raise ParseError(f"cannot lower node {node!r}")
 
-    def _combine(self, node, op, verb):
-        left = self.lower(node.left)
-        right = self.lower(node.right)
-        try:
-            return op(left, right)
-        except Exception as exc:
-            raise ParseError(f"cannot {verb} these subexpressions: {exc}") from None
+    def _chain(self, node) -> EquivariantFunction:
+        # Sums and products parse as left-deep chains as long as the input;
+        # fold them in a loop so only parentheses add recursion depth.
+        spine = []
+        while isinstance(node, (Add, Sub, Mul)):
+            spine.append(node)
+            node = node.left
+        value = self.lower(node)
+        for link in reversed(spine):
+            right = self.lower(link.right)
+            if isinstance(link, Mul):
+                value = value * right
+                continue
+            try:
+                value = value + right if isinstance(link, Add) else value - right
+            except Exception as exc:
+                verb = "add" if isinstance(link, Add) else "subtract"
+                raise ParseError(f"cannot {verb} these subexpressions: {exc}") from None
+        return value
+
+
+def _is_unit_term(f: EquivariantFunction) -> bool:
+    """A single term whose scalar is +-1 or +-i times a power of hbar."""
+    if len(f.terms) != 1:
+        return False
+    (coeff,) = f.terms.values()
+    entries = coeff.items()
+    return len(entries) == 1 and entries[0][1] in _UNITS
 
 
 def _invert_scalar(f: EquivariantFunction) -> Coefficient:

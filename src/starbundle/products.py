@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import factorial
 
 from .algebra import EquivariantFunction, Monomial
 from .errors import ChartError, ObservableError, PolarizationError
@@ -29,7 +30,6 @@ from .scalars import (
     GaussianRational,
     HBAR_OVER_I,
     I_OVER_HBAR,
-    inverse_factorial,
 )
 
 
@@ -254,7 +254,7 @@ def exponential_product(
         if not terms:
             break
         coeff_power = coeff_power * coefficient
-        scale = coeff_power.scale_by_fraction(inverse_factorial(k))
+        scale = coeff_power.scaled(1, factorial(k))
         partial = EquivariantFunction.zero(driver.chart)
         for left, right in terms:
             partial = partial + left * right
@@ -375,7 +375,7 @@ def agarwal_transform(chart: Chart, f: EquivariantFunction) -> EquivariantFuncti
         if term.is_zero():
             return total
         k += 1
-        scale = (half_i_hbar ** k).scale_by_fraction(inverse_factorial(k))
+        scale = (half_i_hbar ** k).scaled(1, factorial(k))
         total = total + term * scale
 
 
@@ -402,6 +402,6 @@ def quantize_inverse_p(psi: EquivariantFunction) -> EquivariantFunction:
         if set(vm) - {"q1"}:
             raise ChartError("component may only involve the position variable")
         e = vm.get("q1", 0)
-        terms[Monomial([("q1", e + 1)])] = coeff.scale_by_fraction(Fraction(1, e + 1))
+        terms[Monomial([("q1", e + 1)])] = coeff.scaled(1, e + 1)
     integral = EquivariantFunction(chart, terms, theta_weight=1)
     return integral * I_OVER_HBAR

@@ -10,45 +10,42 @@ identical bytes.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import EquivariantFunction, Monomial, variable_key
-from .scalars import GaussianRational
+from .algebra import EquivariantFunction, Monomial
 
 
-def _rational(value: Fraction, parenthesize: bool = True) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    text = f"{value.numerator}/{value.denominator}"
-    return f"({text})" if parenthesize else text
+def _rational(n: int, d: int, parenthesize: bool = True) -> str:
+    if d == 1:
+        return str(n)
+    return f"({n}/{d})" if parenthesize else f"{n}/{d}"
 
 
-def _scalar_factors(c: GaussianRational, k: int) -> tuple[int, list[str]]:
-    """Sign and factor strings for the scalar c * hbar^k."""
+def _scalar_factors(re: tuple, im: tuple, k: int) -> tuple[int, list[str]]:
+    """Sign and factor strings for the scalar (re + im*i) * hbar^k, where
+    re and im are (numerator, denominator) pairs in lowest terms."""
     factors: list[str] = []
-    if c.im and not c.re and k == 1:
+    (rn, rd), (jn, jd) = re, im
+    if jn and not rn and k == 1:
         # c*hbar = r*(hbar/i) with rational r = -im(c)
-        r = -c.im
-        sign = 1 if r > 0 else -1
-        if abs(r) != 1:
-            factors.append(_rational(abs(r)))
+        sign = -1 if jn > 0 else 1
+        if (abs(jn), jd) != (1, 1):
+            factors.append(_rational(abs(jn), jd))
         factors.append("(hbar/i)")
         return sign, factors
-    if c.re and not c.im:
-        sign = 1 if c.re > 0 else -1
-        if abs(c.re) != 1:
-            factors.append(_rational(abs(c.re)))
-    elif c.im and not c.re:
-        sign = 1 if c.im > 0 else -1
-        if abs(c.im) != 1:
-            factors.append(_rational(abs(c.im)))
+    if rn and not jn:
+        sign = 1 if rn > 0 else -1
+        if (abs(rn), rd) != (1, 1):
+            factors.append(_rational(abs(rn), rd))
+    elif jn and not rn:
+        sign = 1 if jn > 0 else -1
+        if (abs(jn), jd) != (1, 1):
+            factors.append(_rational(abs(jn), jd))
         factors.append("i")
     else:
         sign = 1
-        im_sign = "+" if c.im > 0 else "-"
+        im_sign = "+" if jn > 0 else "-"
         factors.append(
-            f"({_rational(c.re, parenthesize=False)} {im_sign} "
-            f"{_rational(abs(c.im), parenthesize=False)}*i)"
+            f"({_rational(rn, rd, parenthesize=False)} {im_sign} "
+            f"{_rational(abs(jn), jd, parenthesize=False)}*i)"
         )
     if k == 1:
         factors.append("hbar")
@@ -59,7 +56,7 @@ def _scalar_factors(c: GaussianRational, k: int) -> tuple[int, list[str]]:
 
 def _monomial_factors(mono: Monomial) -> list[str]:
     factors = []
-    for v, e in sorted(mono.vars, key=lambda item: variable_key(item[0])):
+    for v, e in mono.vars:
         factors.append(v if e == 1 else f"{v}^{e}")
     for alpha, e in mono.jets:
         body = "psi(" + ",".join(str(a) for a in alpha) + ")"
@@ -72,8 +69,8 @@ def format_function(f: EquivariantFunction) -> str:
         return "0"
     rendered = []
     for mono, coeff in f.sorted_terms():
-        for k, c in coeff.items():
-            sign, factors = _scalar_factors(c, k)
+        for k, re, im in coeff.parts():
+            sign, factors = _scalar_factors(re, im, k)
             factors.extend(_monomial_factors(mono))
             if f.theta_weight:
                 factors.append(f"e({f.theta_weight})")
@@ -108,8 +105,8 @@ def format_operator(op) -> str:
     for alpha, poly in op.sorted_terms():
         derivative = _derivative_factors(op.rep.config_vars, alpha)
         for mono, coeff in poly.sorted_terms():
-            for k, c in coeff.items():
-                sign, factors = _scalar_factors(c, k)
+            for k, re, im in coeff.parts():
+                sign, factors = _scalar_factors(re, im, k)
                 factors.extend(_monomial_factors(mono))
                 factors.extend(derivative)
                 if not factors:

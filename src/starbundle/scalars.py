@@ -4,55 +4,85 @@ Every computation in this package is exact; no floats appear anywhere.
 A scalar is a finite sum  sum_k c_k * hbar^k  with k ranging over the
 integers (hbar is formally invertible) and each c_k a complex number
 with rational real and imaginary parts.
+
+Each c_k is stored as a triple of plain ints (a, b, d) meaning
+(a + b*i)/d, canonical (d > 0, gcd(a, b, d) == 1) so that equality is
+structural.  ``Fraction`` appears only at the API edge.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-
-_RationalLike = (int, Fraction)
-
-def _fraction(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
+from math import gcd
 
 
-def _gr(re: Fraction, im: Fraction) -> "GaussianRational":
+def _reduce(a: int, b: int, d: int) -> tuple:
+    g = gcd(a, b, d)
+    return (a // g, b // g, d // g) if g != 1 else (a, b, d)
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    (a1, b1, d1), (a2, b2, d2) = x, y
+    if d1 == d2:
+        return _reduce(a1 + a2, b1 + b2, d1)
+    return _reduce(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    (a1, b1, d1), (a2, b2, d2) = x, y
+    return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+
+
+def _triple(value) -> tuple:
+    """The canonical triple of an int, Fraction or GaussianRational."""
+    if type(value) is int:
+        return (value, 0, 1)
+    if isinstance(value, GaussianRational):
+        return value._t
+    if isinstance(value, (int, Fraction)):
+        return (value.numerator, 0, value.denominator)
+    raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+
+
+def _gr(t: tuple) -> "GaussianRational":
     # trusted fast constructor for internal arithmetic
     out = object.__new__(GaussianRational)
-    object.__setattr__(out, "re", re)
-    object.__setattr__(out, "im", im)
+    object.__setattr__(out, "_t", t)
     return out
 
 
 class GaussianRational:
     """A complex number a + b*i with rational a, b."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _fraction(re))
-        object.__setattr__(self, "im", _fraction(im))
+        t = _add(_triple(Fraction(re)), _mul(_triple(Fraction(im)), (0, 1, 1)))
+        object.__setattr__(self, "_t", t)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._t[0], self._t[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._t[1], self._t[2])
+
     @staticmethod
     def coerce(value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, _RationalLike):
-            return GaussianRational(value)
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        return value if isinstance(value, GaussianRational) else _gr(_triple(value))
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return _gr(self.re + other.re, self.im + other.im)
+        return _gr(_add(self._t, _triple(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _gr(-self.re, -self.im)
+        a, b, d = self._t
+        return _gr((-a, -b, d))
 
     def __sub__(self, other):
         return self + (-GaussianRational.coerce(other))
@@ -61,131 +91,106 @@ class GaussianRational:
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        return _gr(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return _gr(_mul(self._t, _triple(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
+        a, b, d = _triple(other)
+        if not (a or b):
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * _gr(other.re / norm, -other.im / norm)
+        return _gr(_mul(self._t, _reduce(a * d, -b * d, a * a + b * b)))
 
     def conjugate(self) -> "GaussianRational":
-        return _gr(self.re, -self.im)
+        a, b, d = self._t
+        return _gr((a, -b, d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._t[0] or self._t[1])
 
     def __eq__(self, other):
-        if isinstance(other, _RationalLike):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
+        if not isinstance(other, (GaussianRational, int, Fraction)):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._t == _triple(other)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # real values hash like the int or Fraction they equal
+        a, b, d = self._t
+        return hash(self._t) if b else hash(a) if d == 1 else hash(Fraction(a, d))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re} {sign} {abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if not (re and im):
+            return f"{im}*i" if im else str(re)
+        return f"({re} {'+' if im > 0 else '-'} {abs(im)}*i)"
 
 
-GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
 
-def _coeff(clean: dict) -> "Coefficient":
-    # trusted fast constructor: keys are ints, values nonzero GaussianRationals
+def _coeff(data: dict) -> "Coefficient":
+    # trusted fast constructor: keys are ints, values nonzero canonical triples
     out = object.__new__(Coefficient)
-    object.__setattr__(out, "_data", clean)
+    object.__setattr__(out, "_data", data)
     return out
 
 
 class Coefficient:
     """A Laurent polynomial in hbar over the Gaussian rationals.
 
-    Stored sparsely as a map from integer hbar-exponent to a nonzero
-    GaussianRational; the zero scalar is the empty map.  Products add
-    exponents, so hbar is formally invertible.
+    Stored sparsely as a map from integer hbar-exponent to the canonical
+    triple of a nonzero Gaussian rational; the zero scalar is the empty
+    map.  Products add exponents, so hbar is formally invertible.
     """
 
     __slots__ = ("_data",)
 
     def __init__(self, data=None):
-        clean = {}
-        if data:
-            for k, v in data.items():
-                v = GaussianRational.coerce(v)
-                if v:
-                    clean[int(k)] = v
-        object.__setattr__(self, "_data", clean)
+        triples = {int(k): _triple(v) for k, v in (data or {}).items()}
+        object.__setattr__(self, "_data", {k: t for k, t in triples.items() if t[0] or t[1]})
 
     def __setattr__(self, name, value):
         raise AttributeError("Coefficient is immutable")
 
-    # -- constructors ------------------------------------------------
-
     @staticmethod
     def coerce(value) -> "Coefficient":
-        if isinstance(value, Coefficient):
-            return value
-        if isinstance(value, (GaussianRational,) + _RationalLike):
-            return Coefficient({0: GaussianRational.coerce(value)})
-        raise TypeError(f"cannot interpret {value!r} as a Coefficient")
+        return value if isinstance(value, Coefficient) else Coefficient({0: value})
 
     @staticmethod
     def zero() -> "Coefficient":
-        return Coefficient()
+        return _coeff({})
 
     @staticmethod
     def one() -> "Coefficient":
-        return Coefficient({0: GR_ONE})
-
-    @staticmethod
-    def i() -> "Coefficient":
-        return Coefficient({0: GR_I})
+        return _coeff({0: (1, 0, 1)})
 
     @staticmethod
     def hbar(power: int = 1, scale=1) -> "Coefficient":
         """scale * hbar**power; power may be negative."""
-        return Coefficient({power: GaussianRational.coerce(scale)})
-
-    @staticmethod
-    def rational(num: int, den: int = 1) -> "Coefficient":
-        return Coefficient({0: GaussianRational(Fraction(num, den))})
-
-    # -- arithmetic --------------------------------------------------
+        return Coefficient({power: scale})
 
     def __add__(self, other):
-        other = Coefficient.coerce(other)
+        if type(other) is not Coefficient:
+            other = Coefficient.coerce(other)
+        if not self._data:
+            return other
         data = dict(self._data)
-        for k, v in other._data.items():
-            s = data.get(k, GR_ZERO) + v
-            if s:
+        for k, t in other._data.items():
+            s = data.get(k)
+            s = t if s is None else _add(s, t)
+            if s[0] or s[1]:
                 data[k] = s
             else:
-                data.pop(k, None)
+                del data[k]
         return _coeff(data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _coeff({k: -v for k, v in self._data.items()})
+        return _coeff({k: (-a, -b, d) for k, (a, b, d) in self._data.items()})
 
     def __sub__(self, other):
         return self + (-Coefficient.coerce(other))
@@ -194,17 +199,18 @@ class Coefficient:
         return Coefficient.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = Coefficient.coerce(other)
-        data: dict[int, GaussianRational] = {}
-        for k1, v1 in self._data.items():
-            for k2, v2 in other._data.items():
-                k = k1 + k2
-                s = data.get(k, GR_ZERO) + v1 * v2
-                if s:
-                    data[k] = s
-                else:
-                    data.pop(k, None)
-        return _coeff(data)
+        if type(other) is not Coefficient:
+            other = Coefficient.coerce(other)
+        x, y = self._data, other._data
+        if len(x) == 1 and len(y) == 1:
+            (k1, t1), = x.items()
+            (k2, t2), = y.items()
+            return _coeff({k1 + k2: _mul(t1, t2)})
+        out = _coeff({})
+        for k1, t1 in x.items():
+            for k2, t2 in y.items():
+                out = out + _coeff({k1 + k2: _mul(t1, t2)})
+        return out
 
     __rmul__ = __mul__
 
@@ -212,65 +218,59 @@ class Coefficient:
         if not isinstance(n, int) or n < 0:
             raise ValueError("Coefficient powers must be non-negative integers")
         out = Coefficient.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for bit in bin(n)[2:]:
+            out = out * out * self if bit == "1" else out * out
         return out
 
-    def scale_by_fraction(self, frac: Fraction) -> "Coefficient":
-        return self * Coefficient({0: GaussianRational(frac)})
+    def scaled(self, num: int, den: int = 1) -> "Coefficient":
+        """self * num/den for ints num and den > 0, without a Fraction."""
+        if not num:
+            return _coeff({})
+        return _coeff({k: _reduce(a * num, b * num, d * den) for k, (a, b, d) in self._data.items()})
 
     def conjugate(self) -> "Coefficient":
         """Complex conjugation; hbar is treated as a real symbol."""
-        return _coeff({k: v.conjugate() for k, v in self._data.items()})
-
-    # -- inspection --------------------------------------------------
+        return _coeff({k: (a, -b, d) for k, (a, b, d) in self._data.items()})
 
     def items(self):
         """(exponent, value) pairs sorted by ascending hbar-exponent."""
-        return sorted(self._data.items())
+        return [(k, _gr(t)) for k, t in sorted(self._data.items())]
+
+    def parts(self):
+        """(exponent, (re num, re den), (im num, im den)) sorted by ascending
+        hbar-exponent, each part in lowest terms: the integer view printers read."""
+        out = []
+        for k, (a, b, d) in sorted(self._data.items()):
+            ga, gb = gcd(a, d), gcd(b, d)
+            out.append((k, (a // ga, d // ga), (b // gb, d // gb)))
+        return out
 
     def __bool__(self):
         return bool(self._data)
 
     def __eq__(self, other):
-        if isinstance(other, (GaussianRational,) + _RationalLike):
+        if isinstance(other, (GaussianRational, int, Fraction)):
             other = Coefficient.coerce(other)
         if not isinstance(other, Coefficient):
             return NotImplemented
         return self._data == other._data
 
     def __hash__(self):
-        return hash(frozenset(self._data.items()))
+        data = self._data
+        if len(data) == 1 and 0 in data:
+            return hash(_gr(data[0]))
+        return hash(frozenset(data.items())) if data else 0
 
     def __repr__(self):
         return f"Coefficient({dict(self.items())!r})"
 
     def __str__(self):
-        if not self._data:
-            return "0"
-        parts = []
-        for k, v in self.items():
-            if k == 0:
-                parts.append(str(v))
-            elif k == 1:
-                parts.append(f"{v}*hbar")
-            else:
-                parts.append(f"{v}*hbar^{k}")
-        return " + ".join(parts)
+        powers = {0: "", 1: "*hbar"}
+        return " + ".join(f"{v}{powers.get(k, f'*hbar^{k}')}" for k, v in self.items()) or "0"
 
 
-C_ZERO = Coefficient.zero()
 C_ONE = Coefficient.one()
-C_I = Coefficient.i()
 # hbar/i = -i*hbar, the ubiquitous expansion coefficient
 HBAR_OVER_I = Coefficient({1: GaussianRational(0, -1)})
 # i/hbar, its reciprocal
 I_OVER_HBAR = Coefficient({-1: GR_I})
-
-
-def inverse_factorial(k: int) -> Fraction:
-    return Fraction(1, factorial(k))

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -45,6 +49,15 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_dq_process(argv, timeout):
+    """Run dq in a fresh interpreter, killed after ``timeout`` seconds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "starbundle.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestCommands:
@@ -95,6 +108,36 @@ class TestCommands:
         code, _, err = run_cli(["star", "p1", "p2"])
         assert code == 2
         assert "out of range" in err
+
+    def test_deep_nesting_is_a_parse_error(self):
+        deep = "(" * 3000 + "p1" + ")" * 3000
+        code, out, err = run_cli(["star", "--dim", "1", deep, "q1"])
+        assert code == 2
+        assert out == ""
+        assert "nest deeper" in err and "Traceback" not in err
+
+    def test_long_chains_lower_without_recursion(self):
+        code, out, _ = run_cli(["star", "--dim", "1", "+".join(["p1"] * 3000), "q1"])
+        assert code == 0
+        assert out.strip() == "3000*p1*q1 + 3000*(hbar/i)"
+        code, out, _ = run_cli(["star", "--dim", "1", "*".join(["p1"] * 3000), "q1"])
+        assert code == 0
+        assert out.strip() == "p1^3000*q1 + 3000*(hbar/i)*p1^2999"
+
+    def test_huge_power_of_a_sum_is_refused_quickly(self):
+        start = time.monotonic()
+        proc = run_dq_process(["star", "--dim", "1", "(p1+1)^99999999999", "q1"], timeout=20)
+        assert time.monotonic() - start < 5
+        assert proc.returncode == 2
+        assert "exceeds" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_huge_powers_of_unit_terms_still_work(self):
+        code, out, _ = run_cli(["star", "--dim", "1", "p1^99999999999", "q1"])
+        assert code == 0
+        assert out.strip() == "p1^99999999999*q1 + 99999999999*(hbar/i)*p1^99999999998"
+        code, out, _ = run_cli(["star", "--dim", "1", "hbar^-99999999999*i^99999999999", "q1"])
+        assert code == 0
+        assert out.strip() == "-i*hbar^-99999999999*q1"
 
     def test_polarization_violation_exit_code(self):
         code, _, err = run_cli(["quantize", "--product", "antinormal",

@@ -38,7 +38,7 @@ class TestExtract:
         op = extract_operator("moyal", CH.var("q1") * CH.var("p1"), POSITION)
         expected = DiffOperator(POSITION, {
             (1,): CH.var("q1") * HBAR_OVER_I,
-            (0,): CH.constant(HBAR_OVER_I.scale_by_fraction(Fraction(1, 2))),
+            (0,): CH.constant(HBAR_OVER_I * Fraction(1, 2)),
         })
         assert op == expected
 

@@ -108,7 +108,7 @@ def normal_star_monomial_oracle(a, b, c, d):
     p, q = CH.var("p1"), CH.var("q1")
     total = CH.zero()
     for k in range(min(a, d) + 1):
-        coeff = (HBAR_OVER_I ** k).scale_by_fraction(
+        coeff = (HBAR_OVER_I ** k) * (
             Fraction(factorial(a) // factorial(a - k), factorial(k))
             * (factorial(d) // factorial(d - k))
         )
@@ -138,7 +138,7 @@ def moyal_star_1d_oracle(F, G):
             partial = partial + left * right * (comb(k, j) * sign)
         if partial.is_zero() and k > F.chart_degree():
             break
-        total = total + partial * (half ** k).scale_by_fraction(Fraction(1, factorial(k)))
+        total = total + partial * (half ** k) * Fraction(1, factorial(k))
         k += 1
     return total
 

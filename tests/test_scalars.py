@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import coefficients, gaussians
 from starbundle import Coefficient, GaussianRational
@@ -85,3 +87,161 @@ class TestCoefficient:
     @given(coefficients)
     def test_additive_inverse(self, a):
         assert not (a + (-a))
+
+
+# -- hashing agrees with equality ---------------------------------------------
+
+
+def _forms(value: GaussianRational):
+    """Every representation that compares equal to ``value``."""
+    forms = [value, Coefficient.coerce(value)]
+    if not value.im:
+        forms.append(value.re)
+        if value.re.denominator == 1:
+            forms.append(int(value.re))
+    return forms
+
+
+class TestHashMatchesEquality:
+    @given(gaussians)
+    def test_equal_forms_hash_equal(self, x):
+        forms = _forms(x)
+        for a in forms:
+            for b in forms:
+                assert a == b
+                assert hash(a) == hash(b)
+        assert len(set(forms)) == 1
+
+    @given(gaussians, gaussians)
+    def test_any_equal_pair_hashes_equal(self, x, y):
+        for a in _forms(x):
+            for b in _forms(y):
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    def test_documented_cases(self):
+        assert len({GaussianRational(2), 2}) == 1
+        assert len({Coefficient.one(), 1, GaussianRational(1)}) == 1
+        assert len({Coefficient.zero(), 0, Fraction(0), GaussianRational(0)}) == 1
+        assert len({Coefficient.hbar(0, Fraction(1, 3)), Fraction(1, 3)}) == 1
+
+
+# -- differential test against a Fraction-pair reference ----------------------
+
+# The reference: a Gaussian rational is a pair (re, im) of Fractions; a
+# Laurent coefficient is a dict {hbar exponent: pair} without zero pairs.
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    return ref_mul(x, (y[0] / norm, -y[1] / norm))
+
+
+def ref_laurent_add(x, y):
+    out = dict(x)
+    for k, v in y.items():
+        s = (out.get(k, (0, 0))[0] + v[0], out.get(k, (0, 0))[1] + v[1])
+        out[k] = s
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def ref_laurent_mul(x, y):
+    out = {}
+    for k1, v1 in x.items():
+        for k2, v2 in y.items():
+            out = ref_laurent_add(out, {k1 + k2: ref_mul(v1, v2)})
+    return out
+
+
+def pair(x: GaussianRational):
+    return (x.re, x.im)
+
+
+def laurent(c: Coefficient):
+    return {k: pair(v) for k, v in c.items()}
+
+
+def assert_canonical(value):
+    triples = [value._t] if isinstance(value, GaussianRational) else list(value._data.values())
+    for a, b, d in triples:
+        assert all(type(n) is int for n in (a, b, d))
+        assert d > 0
+        assert gcd(a, b, d) == 1
+        if isinstance(value, Coefficient):
+            assert (a, b) != (0, 0)
+
+
+wide_fractions = st.fractions(min_value=-60, max_value=60, max_denominator=36)
+wide_gaussians = st.builds(GaussianRational, wide_fractions, wide_fractions)
+laurents = st.builds(
+    lambda pairs: Coefficient(dict(pairs)),
+    st.lists(st.tuples(st.integers(-3, 3), wide_gaussians), max_size=4),
+)
+
+
+class TestAgainstFractionReference:
+    @given(wide_gaussians, wide_gaussians)
+    def test_gaussian_arithmetic(self, x, y):
+        px, py = pair(x), pair(y)
+        results = {
+            "+": (x + y, (px[0] + py[0], px[1] + py[1])),
+            "-": (x - y, (px[0] - py[0], px[1] - py[1])),
+            "*": (x * y, ref_mul(px, py)),
+            "conjugate": (x.conjugate(), (px[0], -px[1])),
+            "neg": (-x, (-px[0], -px[1])),
+        }
+        if y:
+            results["/"] = (x / y, ref_div(px, py))
+        for op, (got, want) in results.items():
+            assert pair(got) == want, op
+            assert_canonical(got)
+
+    @given(wide_gaussians, wide_fractions, st.integers(-5, 5))
+    def test_mixed_operands(self, x, f, n):
+        assert pair(x * f) == ref_mul(pair(x), (f, 0))
+        assert pair(n - x) == (n - x.re, -x.im)
+        assert_canonical(x * f)
+        assert_canonical(n - x)
+
+    @given(laurents, laurents)
+    def test_laurent_arithmetic(self, a, b):
+        la, lb = laurent(a), laurent(b)
+        neg_b = {k: (-v[0], -v[1]) for k, v in lb.items()}
+        results = {
+            "+": (a + b, ref_laurent_add(la, lb)),
+            "-": (a - b, ref_laurent_add(la, neg_b)),
+            "*": (a * b, ref_laurent_mul(la, lb)),
+            "cancel": ((a + b) * (a - b), ref_laurent_add(
+                ref_laurent_mul(la, la), {k: (-v[0], -v[1]) for k, v in ref_laurent_mul(lb, lb).items()}
+            )),
+            "conjugate": (a.conjugate(), {k: (v[0], -v[1]) for k, v in la.items()}),
+        }
+        for op, (got, want) in results.items():
+            assert laurent(got) == want, op
+            assert_canonical(got)
+
+    @given(laurents, st.integers(0, 4))
+    def test_laurent_power(self, a, n):
+        want = {0: (1, 0)}
+        for _ in range(n):
+            want = ref_laurent_mul(want, laurent(a))
+        assert laurent(a ** n) == want
+        assert_canonical(a ** n)
+
+    @given(laurents, st.integers(-20, 20), st.integers(1, 20))
+    def test_scaled(self, a, num, den):
+        got = a.scaled(num, den)
+        assert laurent(got) == ref_laurent_mul(laurent(a), {0: (Fraction(num, den), 0)})
+        assert_canonical(got)
+
+    def test_cancelling_exponents(self):
+        x = Coefficient({1: 1, -1: GaussianRational(0, 1)})
+        y = Coefficient({1: 1, -1: GaussianRational(0, -1)})
+        product = x * y
+        assert laurent(product) == {2: (1, 0), -2: (1, 0)}
+        assert 0 not in product._data
+        assert_canonical(product)
