@@ -515,29 +515,31 @@ class Derivation:
 
     The coefficients are plain polynomials on the chart; the theta
     coefficient may carry negative hbar powers (horizontal lifts do).
-    Acts on :class:`EquivariantFunction` via :meth:`__call__` and
-    satisfies the Leibniz rule by construction.
+    A ``"theta"`` entry of ``coeffs`` is added to ``theta_coeff``, so
+    ``coeffs`` holds chart variables only.  Acts on
+    :class:`EquivariantFunction` via :meth:`__call__` and satisfies the
+    Leibniz rule by construction.
     """
 
     __slots__ = ("chart", "coeffs", "theta_coeff")
 
     def __init__(self, chart, coeffs=None, theta_coeff=None):
         self.chart = chart
-        clean = {}
-        for v, poly in (coeffs or {}).items():
-            if v != THETA and v not in chart.variables:
-                raise ChartError(f"derivation coefficient on unknown variable {v!r}")
-            if not poly.is_zero():
-                clean[v] = poly
-        self.coeffs = clean
         if theta_coeff is None:
             theta_coeff = EquivariantFunction.zero(chart)
+        clean = {}
+        for v, poly in (coeffs or {}).items():
+            if v == THETA:
+                theta_coeff = theta_coeff + poly
+            elif v not in chart.variables:
+                raise ChartError(f"derivation coefficient on unknown variable {v!r}")
+            elif not poly.is_zero():
+                clean[v] = poly
+        self.coeffs = clean
         self.theta_coeff = theta_coeff
 
     @staticmethod
     def coordinate(chart, var: str, scale=1) -> "Derivation":
-        if var == THETA:
-            return Derivation(chart, {}, EquivariantFunction.constant(chart, scale))
         return Derivation(chart, {var: EquivariantFunction.constant(chart, scale)})
 
     def coefficient(self, var: str) -> EquivariantFunction:

@@ -31,6 +31,10 @@ EXIT_CONFIG = 3
 EXIT_CHECK = 4
 EXIT_POLARIZATION = 5
 
+# Largest --dim: driver construction and the series grow with it, and
+# every subcommand stays well under a second at this size.
+MAX_DIM = 64
+
 
 @dataclass
 class RunConfig:
@@ -45,6 +49,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.dim < 1:
             raise ConfigError("--dim must be at least 1")
+        if self.dim > MAX_DIM:
+            raise ConfigError(f"--dim must be at most {MAX_DIM}")
         if self.chart_kind == "bargmann":
             if self.dim != 1:
                 raise ConfigError("the bargmann chart is one-dimensional")

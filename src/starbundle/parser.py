@@ -20,13 +20,18 @@ Limits keep hostile input bounded: parentheses nest at most
 ``MAX_NESTING`` deep, and ``|exponent|`` may exceed ``MAX_EXPONENT``
 only when the base is a single term whose scalar is a unit (+-1 or
 +-i) times a power of hbar, so that the power just adds exponents.
-Both raise :class:`ParseError`.
+Before each product and power, lowering bounds the terms it could
+produce -- ``len(a) * len(b)`` for ``a * b``, and ``comb(t + e - 1, e)``
+(the monomials of degree e in t terms) for a t-term base to the e-th
+power -- and refuses one whose bound exceeds ``MAX_TERMS``.  All three
+raise :class:`ParseError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .algebra import EquivariantFunction
 from .errors import ParseError
@@ -35,6 +40,7 @@ from .scalars import Coefficient, GaussianRational
 
 MAX_NESTING = 100
 MAX_EXPONENT = 64
+MAX_TERMS = 1000
 _UNITS = (1, -1, GaussianRational(0, 1), GaussianRational(0, -1))
 
 
@@ -347,6 +353,9 @@ class LoweringContext:
                     "a single term with a unit scalar"
                 )
             if node.exponent >= 0:
+                if len(base.terms) > 1:
+                    _check_terms(comb(len(base.terms) + node.exponent - 1, node.exponent),
+                                 f"a {len(base.terms)}-term base to the power {node.exponent}")
                 return base ** node.exponent
             value = _invert_scalar(base)
             return base.chart.constant(value ** (-node.exponent))
@@ -363,6 +372,8 @@ class LoweringContext:
         for link in reversed(spine):
             right = self.lower(link.right)
             if isinstance(link, Mul):
+                _check_terms(len(value.terms) * len(right.terms),
+                             f"a product of {len(value.terms)} and {len(right.terms)} terms")
                 value = value * right
                 continue
             try:
@@ -371,6 +382,11 @@ class LoweringContext:
                 verb = "add" if isinstance(link, Add) else "subtract"
                 raise ParseError(f"cannot {verb} these subexpressions: {exc}") from None
         return value
+
+
+def _check_terms(bound: int, what: str) -> None:
+    if bound > MAX_TERMS:
+        raise ParseError(f"{what} may have {bound} terms, more than {MAX_TERMS}")
 
 
 def _is_unit_term(f: EquivariantFunction) -> bool:

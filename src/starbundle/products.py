@@ -53,6 +53,10 @@ class StarKind(str, Enum):
 HALF_HBAR_OVER_I = Coefficient({1: GaussianRational(0, Fraction(-1, 2))})
 
 
+def _is_constant(f: EquivariantFunction) -> bool:
+    return list(f.terms) == [Monomial.unit()] and not f.theta_weight and f.weight_factor is None
+
+
 class DriverTensor:
     """An ordered list of (s, t) vector-field pairs decomposing a 2-tensor.
 
@@ -75,9 +79,14 @@ class DriverTensor:
         for field in fields:
             if not field.theta_coeff.is_zero():
                 raise ChartError("driver base fields live on the base (no theta part)")
+        # [a d/du, b d/dv] = 0 for constants a, b: only pairs with a
+        # non-constant field need the exact commutator.
+        constant = [all(_is_constant(c) for c in f.coeffs.values()) for f in fields]
         for i, f1 in enumerate(fields):
-            for f2 in fields[i + 1:]:
-                if not f1.commutator(f2).is_zero():
+            for j in range(i + 1, len(fields)):
+                if constant[i] and constant[j]:
+                    continue
+                if not f1.commutator(fields[j]).is_zero():
                     raise ChartError("driver decomposition fields must mutually commute")
 
     def lift(self) -> "DriverTensor":

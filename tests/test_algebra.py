@@ -180,6 +180,14 @@ class TestDerivation:
         wave = EquivariantFunction(CH, CH.var("q1").terms, theta_weight=3)
         assert d(wave) == wave * GaussianRational(0, 3)
 
+    def test_theta_entry_of_coeffs_is_the_theta_coefficient(self):
+        keyed = Derivation(CH, {"theta": CH.one(), "p1": CH.var("q1")})
+        assert keyed == Derivation(CH, {"p1": CH.var("q1")}, CH.one())
+        assert "theta" not in keyed.coeffs
+        assert keyed.theta_coeff == CH.one()
+        both = Derivation(CH, {"theta": CH.var("p1")}, CH.one())
+        assert both.theta_coeff == CH.var("p1") + CH.one()
+
     def test_commutator_of_coordinates_vanishes(self):
         d1 = Derivation.coordinate(CH2, "p1")
         d2 = Derivation.coordinate(CH2, "q2")

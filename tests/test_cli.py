@@ -131,6 +131,32 @@ class TestCommands:
         assert proc.returncode == 2
         assert "exceeds" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["star", "--dim", "4", "(p1+q1+p2+q2+p3+q3+p4+q4+1)^64", "q1"],
+        ["star", "--dim", "1", "((p1+1)^64)^64", "q1"],
+    ])
+    def test_powers_past_the_term_bound_are_refused_quickly(self, argv):
+        start = time.monotonic()
+        proc = run_dq_process(argv, timeout=20)
+        assert time.monotonic() - start < 5
+        assert proc.returncode == 2
+        assert "more than 1000" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_products_past_the_term_bound_are_refused(self):
+        code, out, err = run_cli(["star", "--dim", "1", "(p1+1)^64*(q1+1)^15", "q1"])
+        assert code == 2 and out == ""
+        assert "65 and 16 terms" in err and "Traceback" not in err
+        code, _, _ = run_cli(["star", "--dim", "1", "(p1+1)^64*(q1+1)^14", "q1"])
+        assert code == 0
+
+    def test_dim_limit(self):
+        code, out, err = run_cli(["star", "--dim", "65", "p1", "q1"])
+        assert code == 3 and out == ""
+        assert "at most 64" in err and "Traceback" not in err
+        code, out, _ = run_cli(["star", "--dim", "64", "--product", "moyal", "p1", "q1"])
+        assert code == 0
+        assert out.strip() == "p1*q1 + (1/2)*(hbar/i)"
+
     def test_huge_powers_of_unit_terms_still_work(self):
         code, out, _ = run_cli(["star", "--dim", "1", "p1^99999999999", "q1"])
         assert code == 0

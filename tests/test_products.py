@@ -74,6 +74,41 @@ class TestDriverTensor:
 
             DriverTensor(CH, [(bad, good)])
 
+    def test_theta_part_rejected_in_either_form(self):
+        from starbundle import Derivation, DriverTensor
+
+        keyed = Derivation(CH, {"theta": CH.one()})
+        explicit = Derivation(CH, {}, CH.one())
+        assert keyed == explicit
+        for field in (keyed, explicit):
+            with pytest.raises(ChartError, match="no theta part"):
+                DriverTensor(CH, [(field, CH.coordinate_field("q1"))])
+            with pytest.raises(ChartError):
+                horizontal_lift(CH, field)
+
+    def test_constant_fields_are_not_commuted(self, monkeypatch):
+        from starbundle import AffineMap, Derivation
+
+        calls = []
+        original = Derivation.commutator
+        monkeypatch.setattr(Derivation, "commutator",
+                            lambda self, other: calls.append(1) or original(self, other))
+        wide = Chart.real(16)
+        for kind in ("normal", "antinormal", "moyal"):
+            driver_tensor(kind, wide)
+        driver_tensor("wick", BC)
+        driver_tensor("moyal", BC)
+        driver_tensor("moyal", CH2).transformed(AffineMap.scaling(CH2, 3))
+        assert calls == []
+
+    def test_non_constant_field_is_still_commuted(self):
+        from starbundle import Derivation, DriverTensor
+
+        with pytest.raises(ChartError, match="mutually commute"):
+            DriverTensor(CH, [(Derivation(CH, {"p1": CH.var("q1")}), CH.coordinate_field("q1"))])
+        field = Derivation(CH2, {"p2": CH2.var("p2")})
+        DriverTensor(CH2, [(field, CH2.coordinate_field("p1"))])
+
 
 class TestApplyDriver:
     def test_single_application(self):
