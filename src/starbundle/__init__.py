@@ -13,13 +13,13 @@ from .algebra import (
     EquivariantFunction,
     Monomial,
     WeightFactor,
-    equal,
     substitute_jets,
 )
 from .errors import (
     ChartError,
     ConfigError,
     ExtractionError,
+    LimitError,
     ObservableError,
     ParseError,
     PolarizationError,
@@ -45,9 +45,7 @@ from .geometry import (
 from .operators import (
     DiffOperator,
     Representation,
-    compose_operators,
     extract_operator,
-    formal_adjoint,
 )
 from .parser import lower_expression, parse_expression
 from .products import (
@@ -79,6 +77,7 @@ __all__ = [
     "EquivariantFunction",
     "ExtractionError",
     "GaussianRational",
+    "LimitError",
     "Monomial",
     "ObservableError",
     "ParseError",
@@ -93,11 +92,8 @@ __all__ = [
     "bargmann_gaussian",
     "bargmann_wave",
     "bullet_product",
-    "compose_operators",
     "driver_tensor",
-    "equal",
     "extract_operator",
-    "formal_adjoint",
     "format_function",
     "format_operator",
     "hamiltonian_vector_field",

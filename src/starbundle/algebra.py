@@ -15,6 +15,7 @@ d/dtheta (theta^k e^{i m theta}) = (k theta^(k-1) + i m theta^k) e^{i m theta}.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import ChartError, WeightFactorError
 from .scalars import C_ONE, Coefficient, GaussianRational
@@ -476,11 +477,6 @@ class EquivariantFunction:
         return format_function(self)
 
 
-def equal(a: EquivariantFunction, b: EquivariantFunction) -> bool:
-    """Exact equality on canonical forms."""
-    return a == b
-
-
 def substitute_jets(f: EquivariantFunction, component: EquivariantFunction) -> EquivariantFunction:
     """Replace each jet symbol psi_alpha by the alpha-th derivative of a
     concrete jet-free polynomial ``component``."""
@@ -511,40 +507,38 @@ def substitute_jets(f: EquivariantFunction, component: EquivariantFunction) -> E
 
 
 class Derivation:
-    """A first-order differential operator sum_v c_v d/dv + c_theta d/dtheta.
+    """A first-order differential operator sum_v c_v d/dv over the chart
+    variables and ``"theta"``.
 
+    ``coeffs`` maps each variable with a nonzero coefficient to it, in a
+    read-only mapping; attribute assignment raises, so a derivation is
+    immutable.
     The coefficients are plain polynomials on the chart; the theta
     coefficient may carry negative hbar powers (horizontal lifts do).
-    A ``"theta"`` entry of ``coeffs`` is added to ``theta_coeff``, so
-    ``coeffs`` holds chart variables only.  Acts on
-    :class:`EquivariantFunction` via :meth:`__call__` and satisfies the
-    Leibniz rule by construction.
+    Acts on :class:`EquivariantFunction` via :meth:`__call__` and
+    satisfies the Leibniz rule by construction.
     """
 
-    __slots__ = ("chart", "coeffs", "theta_coeff")
+    __slots__ = ("chart", "coeffs")
 
-    def __init__(self, chart, coeffs=None, theta_coeff=None):
-        self.chart = chart
-        if theta_coeff is None:
-            theta_coeff = EquivariantFunction.zero(chart)
+    def __init__(self, chart, coeffs=None):
         clean = {}
         for v, poly in (coeffs or {}).items():
-            if v == THETA:
-                theta_coeff = theta_coeff + poly
-            elif v not in chart.variables:
+            if v != THETA and v not in chart.variables:
                 raise ChartError(f"derivation coefficient on unknown variable {v!r}")
-            elif not poly.is_zero():
+            if not poly.is_zero():
                 clean[v] = poly
-        self.coeffs = clean
-        self.theta_coeff = theta_coeff
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Derivation is immutable")
 
     @staticmethod
     def coordinate(chart, var: str, scale=1) -> "Derivation":
         return Derivation(chart, {var: EquivariantFunction.constant(chart, scale)})
 
     def coefficient(self, var: str) -> EquivariantFunction:
-        if var == THETA:
-            return self.theta_coeff
         return self.coeffs.get(var, EquivariantFunction.zero(self.chart))
 
     def __call__(self, f: EquivariantFunction) -> EquivariantFunction:
@@ -553,8 +547,6 @@ class Derivation:
         out = EquivariantFunction.zero(self.chart)
         for v, poly in self.coeffs.items():
             out = out + poly * f.differentiate(v)
-        if not self.theta_coeff.is_zero():
-            out = out + self.theta_coeff * f.differentiate(THETA)
         return out
 
     def __add__(self, other: "Derivation") -> "Derivation":
@@ -563,7 +555,7 @@ class Derivation:
         coeffs = dict(self.coeffs)
         for v, poly in other.coeffs.items():
             coeffs[v] = coeffs.get(v, EquivariantFunction.zero(self.chart)) + poly
-        return Derivation(self.chart, coeffs, self.theta_coeff + other.theta_coeff)
+        return Derivation(self.chart, coeffs)
 
     def __neg__(self):
         return self * Coefficient.coerce(-1)
@@ -575,11 +567,7 @@ class Derivation:
         """Multiply by a scalar or by a polynomial function."""
         if isinstance(scale, (Coefficient, GaussianRational, int, Fraction)):
             scale = EquivariantFunction.constant(self.chart, Coefficient.coerce(scale))
-        return Derivation(
-            self.chart,
-            {v: scale * poly for v, poly in self.coeffs.items()},
-            scale * self.theta_coeff,
-        )
+        return Derivation(self.chart, {v: scale * poly for v, poly in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -587,27 +575,22 @@ class Derivation:
         """[self, other] as a derivation (first-order; the chart fields
         appearing here always have polynomial coefficients)."""
         names = set(self.coeffs) | set(other.coeffs)
-        coeffs = {v: self(other.coefficient(v)) - other(self.coefficient(v)) for v in names}
-        theta = self(other.theta_coeff) - other(self.theta_coeff)
-        return Derivation(self.chart, coeffs, theta)
+        return Derivation(self.chart, {
+            v: self(other.coefficient(v)) - other(self.coefficient(v)) for v in names
+        })
 
     def is_zero(self) -> bool:
-        return not self.coeffs and self.theta_coeff.is_zero()
+        return not self.coeffs
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
-        if self.chart != other.chart:
-            return False
-        names = set(self.coeffs) | set(other.coeffs)
-        return self.theta_coeff == other.theta_coeff and all(
-            self.coefficient(v) == other.coefficient(v) for v in names
-        )
+        return self.chart == other.chart and self.coeffs == other.coeffs
 
     __hash__ = None
 
     def __repr__(self):
-        parts = [f"({poly})*d/d{v}" for v, poly in sorted(self.coeffs.items())]
-        if not self.theta_coeff.is_zero():
-            parts.append(f"({self.theta_coeff})*d/dtheta")
+        parts = [
+            f"({self.coeffs[v]})*d/d{v}" for v in sorted(self.coeffs, key=variable_key)
+        ]
         return " + ".join(parts) if parts else "0"

@@ -26,7 +26,7 @@ from .geometry import (
     prequantum_wave,
     souriau_bracket,
 )
-from .operators import DiffOperator, Representation, extract_operator, formal_adjoint
+from .operators import DiffOperator, Representation, extract_operator
 from .parser import lower_expression
 from .products import (
     HALF_HBAR_OVER_I,
@@ -572,13 +572,13 @@ def check_adjoint(seed: int = 0, max_degree: int = 4) -> list[CheckResult]:
     for a in range(max_degree + 1):
         for b in range(max_degree + 1 - a):
             op = extract_operator(StarKind.MOYAL, p ** a * q ** b, rep)
-            if formal_adjoint(op) != op:
+            if op.adjoint() != op:
                 weyl_ok, detail = False, f"F=p^{a}q^{b}"
     results.append(_result(suite, "weyl-operators-symmetric", weyl_ok, detail))
 
     normal_pq = extract_operator(StarKind.NORMAL, p * q, rep)
     results.append(_result(
-        suite, "normal-pq-asymmetric", formal_adjoint(normal_pq) != normal_pq,
+        suite, "normal-pq-asymmetric", normal_pq.adjoint() != normal_pq,
         "normal-ordered pq unexpectedly symmetric",
     ))
 
@@ -596,7 +596,7 @@ def check_adjoint(seed: int = 0, max_degree: int = 4) -> list[CheckResult]:
             derivative = DiffOperator(rep, {(n,): chart.one()})
             multiply = DiffOperator(rep, {(0,): A})
             translated = translated + derivative.compose(multiply) * (HBAR_OVER_I ** n)
-        if formal_adjoint(extract_operator(StarKind.NORMAL, F, rep)) != translated:
+        if extract_operator(StarKind.NORMAL, F, rep).adjoint() != translated:
             intertwine_ok, detail = False, f"F={F}"
     results.append(_result(suite, "antinormal-position-form-via-adjoint", intertwine_ok, detail))
     return results

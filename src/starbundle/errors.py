@@ -46,5 +46,9 @@ class ParseError(StarBundleError):
         self.column = column
 
 
+class LimitError(StarBundleError):
+    """A value exceeds a documented size limit."""
+
+
 class ConfigError(StarBundleError):
     """Invalid run configuration (flag combination)."""

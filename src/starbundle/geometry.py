@@ -14,35 +14,58 @@ from fractions import Fraction
 
 from .algebra import THETA, Derivation, EquivariantFunction, WeightFactor
 from .errors import ChartError, ObservableError
-from .scalars import Coefficient, GaussianRational
+from .scalars import C_ONE, Coefficient, GaussianRational
+
+_ONE = GaussianRational(1)
+_NO_ALPHA = (None, Coefficient.zero())
 
 
 class Chart:
     """A canonical chart, either real bi-polarized or the complex plane.
 
-    real kind:     variables p_1..p_n, q_1..q_n; connection
+    real kind:     variables p_1..p_n, q_1..q_n; bivector
+                   pi = sum_i d/dp_i ^ d/dq^i; connection
                    alpha = (1/hbar) p_i dq^i + dtheta.
-    bargmann kind: variables z, zb (n = 1); connection
+    bargmann kind: variables z, zb (n = 1); pi = 2i d/dzb ^ d/dz;
                    alpha = (1/(4 i hbar)) (zb dz - z dzb) + dtheta.
+
+    ``bracket_pairs`` holds pi as (c, u, v) with pi = sum c d/du ^ d/dv.
+    The constructor is the one place that knows each kind's geometry;
+    everything else is computed from the pairs and the connection.
     """
 
     def __init__(self, kind: str, n: int):
+        self.kind = kind
+        self.n = n
         if kind == "real":
             if n < 1:
                 raise ChartError("real chart needs dimension n >= 1")
             self.momentum_vars = tuple(f"p{i}" for i in range(1, n + 1))
             self.position_vars = tuple(f"q{i}" for i in range(1, n + 1))
             self.variables = self.momentum_vars + self.position_vars
+            pairs = [(_ONE, pv, qv) for pv, qv in zip(self.momentum_vars, self.position_vars)]
+            # alpha(d/dq^i) = p_i / hbar
+            inverse_hbar = Coefficient.hbar(-1)
+            alpha = {qv: (pv, inverse_hbar) for _, pv, qv in pairs}
         elif kind == "bargmann":
             if n != 1:
                 raise ChartError("the bargmann chart is one-dimensional")
             self.momentum_vars = ("z",)
             self.position_vars = ("zb",)
             self.variables = ("z", "zb")
+            pairs = [(GaussianRational(0, 2), "zb", "z")]
+            # alpha(d/dz) = zb / (4 i hbar), alpha(d/dzb) = -z / (4 i hbar)
+            alpha = {
+                "z": ("zb", Coefficient.hbar(-1, GaussianRational(0, Fraction(-1, 4)))),
+                "zb": ("z", Coefficient.hbar(-1, GaussianRational(0, Fraction(1, 4)))),
+            }
         else:
             raise ChartError(f"unknown chart kind {kind!r}")
-        self.kind = kind
-        self.n = n
+        self.bracket_pairs = tuple(pairs)
+        self._scale_of = {(u, v): c for c, u, v in pairs}
+        # alpha(d/dv) as (w, scale), meaning scale * w, or scale when w is None
+        self._alpha = {v: alpha.get(v, _NO_ALPHA) for v in self.variables}
+        self._alpha[THETA] = (None, C_ONE)
 
     @staticmethod
     def real(n: int = 1) -> "Chart":
@@ -79,38 +102,19 @@ class Chart:
 
     def alpha_of(self, var: str) -> EquivariantFunction:
         """The connection evaluated on the coordinate field d/d<var>."""
-        if var == THETA:
-            return self.one()
-        if var not in self.variables:
-            raise ChartError(f"unknown variable {var!r}")
-        if self.kind == "real":
-            if var in self.position_vars:
-                i = self.position_vars.index(var)
-                # alpha(d/dq^i) = p_i / hbar
-                return self.var(self.momentum_vars[i]) * Coefficient.hbar(-1)
-            return self.zero()
-        if var == "z":
-            # zb / (4 i hbar) = (-i/4) zb hbar^{-1}
-            return self.var("zb") * Coefficient.hbar(-1, GaussianRational(0, Fraction(-1, 4)))
-        # alpha(d/dzb) = -z / (4 i hbar) = (i/4) z hbar^{-1}
-        return self.var("z") * Coefficient.hbar(-1, GaussianRational(0, Fraction(1, 4)))
+        try:
+            w, scale = self._alpha[var]
+        except KeyError:
+            raise ChartError(f"unknown variable {var!r}") from None
+        return (self.one() if w is None else self.var(w)) * scale
 
     def omega_of(self, u: str, v: str) -> Coefficient:
-        """The symplectic form on a pair of coordinate fields."""
-        if self.kind == "real":
-            value = Coefficient.zero()
-            if u in self.momentum_vars and v in self.position_vars:
-                if self.momentum_vars.index(u) == self.position_vars.index(v):
-                    value = Coefficient.one()
-            elif u in self.position_vars and v in self.momentum_vars:
-                if self.position_vars.index(u) == self.momentum_vars.index(v):
-                    value = -Coefficient.one()
-            return value
-        # omega = (1/(2i)) dzb ^ dz
-        if (u, v) == ("zb", "z"):
-            return Coefficient({0: GaussianRational(0, Fraction(-1, 2))})
-        if (u, v) == ("z", "zb"):
-            return Coefficient({0: GaussianRational(0, Fraction(1, 2))})
+        """The symplectic form on a pair of coordinate fields: 1/c on a
+        bracket pair (c, u, v), -1/c on (c, v, u), and 0 elsewhere."""
+        if (u, v) in self._scale_of:
+            return Coefficient.coerce(_ONE / self._scale_of[(u, v)])
+        if (v, u) in self._scale_of:
+            return -Coefficient.coerce(_ONE / self._scale_of[(v, u)])
         return Coefficient.zero()
 
     # -- vector fields ---------------------------------------------------
@@ -155,12 +159,12 @@ def horizontal_lift(chart: Chart, field) -> Derivation:
         field = chart.coordinate_field(field)
     if field.chart != chart:
         raise ChartError("field lives on a different chart")
-    if not field.theta_coeff.is_zero():
+    if THETA in field.coeffs:
         raise ChartError("can only lift base vector fields (no theta component)")
     alpha_value = EquivariantFunction.zero(chart)
     for v, poly in field.coeffs.items():
         alpha_value = alpha_value + poly * chart.alpha_of(v)
-    return Derivation(chart, dict(field.coeffs), -alpha_value)
+    return Derivation(chart, {**field.coeffs, THETA: -alpha_value})
 
 
 class Polarization:
@@ -211,17 +215,6 @@ def polarization_witness(chart, polarization, psi):
 # -- Souriau bracket ---------------------------------------------------
 
 
-def _bracket_pairs(chart: Chart):
-    """The bivector as ordered (scale, u, v) with pi = sum scale * u^# ^ v^#."""
-    if chart.kind == "real":
-        return [
-            (Coefficient.one(), pv, qv)
-            for pv, qv in zip(chart.momentum_vars, chart.position_vars)
-        ]
-    # pi = 2i d/dzb ^ d/dz
-    return [(Coefficient({0: GaussianRational(0, 2)}), "zb", "z")]
-
-
 def souriau_bracket(
     chart: Chart, f: EquivariantFunction, g: EquivariantFunction
 ) -> EquivariantFunction:
@@ -234,7 +227,7 @@ def souriau_bracket(
     if f.chart != chart or g.chart != chart:
         raise ChartError("bracket arguments must live on the given chart")
     out = EquivariantFunction.zero(chart)
-    for scale, u, v in _bracket_pairs(chart):
+    for scale, u, v in chart.bracket_pairs:
         lu = horizontal_lift(chart, u)
         lv = horizontal_lift(chart, v)
         out = out + (lu(f) * lv(g) - lv(f) * lu(g)) * scale
@@ -255,7 +248,7 @@ def hamiltonian_vector_field(chart: Chart, observable: EquivariantFunction) -> D
     if not observable.is_observable():
         raise ObservableError("Hamiltonian vector fields are defined for observables only")
     coeffs: dict[str, EquivariantFunction] = {}
-    for scale, u, v in _bracket_pairs(chart):
+    for scale, u, v in chart.bracket_pairs:
         du = observable.differentiate(u) * scale
         dv = observable.differentiate(v) * scale
         if not du.is_zero():
@@ -470,10 +463,10 @@ class AffineMap:
                 for j in range(n):
                     if self.c[j][k]:
                         add(chart.position_vars[j], sub * Coefficient.coerce(self.c[j][k]))
-        theta = field.theta_coeff
-        if not theta.is_zero():
-            theta = self.transform_function(theta)
-        return Derivation(chart, coeffs, theta)
+        theta = field.coeffs.get(THETA)
+        if theta is not None:
+            add(THETA, self.transform_function(theta))
+        return Derivation(chart, coeffs)
 
     def transform(self, obj):
         """Dispatch on functions, derivations and driver tensors."""

@@ -270,11 +270,3 @@ def extract_operator(kind, observable: EquivariantFunction, rep: Representation)
     }
     return DiffOperator(rep, terms)
 
-
-def compose_operators(first: DiffOperator, second: DiffOperator) -> DiffOperator:
-    """first . second, applied right to left like function composition."""
-    return first.compose(second)
-
-
-def formal_adjoint(op: DiffOperator) -> DiffOperator:
-    return op.adjoint()

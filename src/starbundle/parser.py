@@ -23,12 +23,15 @@ only when the base is a single term whose scalar is a unit (+-1 or
 Before each product and power, lowering bounds the terms it could
 produce -- ``len(a) * len(b)`` for ``a * b``, and ``comb(t + e - 1, e)``
 (the monomials of degree e in t terms) for a t-term base to the e-th
-power -- and refuses one whose bound exceeds ``MAX_TERMS``.  All three
-raise :class:`ParseError`.
+power -- and refuses one whose bound exceeds ``MAX_TERMS``.  A run of
+digits, in a number or in a name, may be at most ``MAX_DIGITS`` long
+(the printable size of :mod:`starbundle.scalars`).  All four raise
+:class:`ParseError`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -36,7 +39,7 @@ from math import comb
 from .algebra import EquivariantFunction
 from .errors import ParseError
 from .geometry import Chart
-from .scalars import Coefficient, GaussianRational
+from .scalars import MAX_DIGITS, Coefficient, GaussianRational
 
 MAX_NESTING = 100
 MAX_EXPONENT = 64
@@ -117,9 +120,14 @@ class Token:
 
 
 _SYMBOLS = set("+-*^(),/")
+_LONG_DIGIT_RUN = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
 
 
 def tokenize(text: str) -> list[Token]:
+    long_run = _LONG_DIGIT_RUN.search(text)
+    if long_run:
+        raise ParseError(f"a digit run is longer than MAX_DIGITS = {MAX_DIGITS}",
+                         column=long_run.start() + 1)
     tokens = []
     i = 0
     while i < len(text):
@@ -128,9 +136,9 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             continue
         column = i + 1
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(Token("uint", text[i:j], column))
             i = j
@@ -293,7 +301,7 @@ class _Parser:
             if name in ("z", "zb"):
                 return Variable(name)
             raise ParseError(f"unknown variable {name!r} on the bargmann chart", column=column)
-        if len(name) >= 2 and name[0] in ("p", "q") and name[1:].isdigit():
+        if len(name) >= 2 and name[0] in ("p", "q") and name[1:].isdecimal():
             index = int(name[1:])
             if 1 <= index <= chart.n:
                 return Variable(name)

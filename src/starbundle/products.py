@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .algebra import EquivariantFunction, Monomial
+from .algebra import THETA, EquivariantFunction, Monomial
 from .errors import ChartError, ObservableError, PolarizationError
 from .geometry import Chart, Polarization, horizontal_lift, polarization_witness
 from .scalars import (
@@ -57,6 +57,15 @@ def _is_constant(f: EquivariantFunction) -> bool:
     return list(f.terms) == [Monomial.unit()] and not f.theta_weight and f.weight_factor is None
 
 
+def _function_key(f: EquivariantFunction):
+    return (
+        f.theta_weight,
+        f.jet_vars,
+        f.weight_factor.name if f.weight_factor is not None else None,
+        frozenset(f.terms.items()),
+    )
+
+
 class DriverTensor:
     """An ordered list of (s, t) vector-field pairs decomposing a 2-tensor.
 
@@ -77,7 +86,7 @@ class DriverTensor:
     def _check_base_fields_commute(self):
         fields = [f for pair in self.pairs for f in pair]
         for field in fields:
-            if not field.theta_coeff.is_zero():
+            if THETA in field.coeffs:
                 raise ChartError("driver base fields live on the base (no theta part)")
         # [a d/du, b d/dv] = 0 for constants a, b: only pairs with a
         # non-constant field need the exact commutator.
@@ -99,8 +108,14 @@ class DriverTensor:
         return DriverTensor(self.chart, pairs, lifted=True, name=self.name)
 
     def apply_once(self, tensor_terms):
-        """One application to a list of (left, right) pairs, zero pairs dropped."""
-        out = []
+        """One application to a list of (left, right) pairs.
+
+        Pairs with equal left slots are merged by summing their right
+        slots (the tensor is unchanged, by bilinearity), which keeps the
+        term count polynomial even for the full Poisson driver; zero
+        pairs are dropped.
+        """
+        merged: dict = {}
         for left, right in tensor_terms:
             for s, t in self.pairs:
                 new_left = s(left)
@@ -109,8 +124,13 @@ class DriverTensor:
                 new_right = t(right)
                 if new_right.is_zero():
                     continue
-                out.append((new_left, new_right))
-        return out
+                key = _function_key(new_left)
+                entry = merged.get(key)
+                if entry is None:
+                    merged[key] = [new_left, new_right]
+                else:
+                    entry[1] = entry[1] + new_right
+        return [(left, right) for left, right in merged.values() if not right.is_zero()]
 
     def power_terms(self, f: EquivariantFunction, g: EquivariantFunction, k: int):
         """(Lambda)^k (f (x) g) as a list of (left, right) pairs."""
@@ -119,8 +139,6 @@ class DriverTensor:
         terms = [(f, g)]
         for _ in range(k):
             terms = self.apply_once(terms)
-            if not terms:
-                break
         return terms
 
     def components(self) -> dict:
@@ -132,14 +150,8 @@ class DriverTensor:
         comps: dict[tuple[str, str], EquivariantFunction] = {}
         zero = self.chart.zero()
         for s, t in self.pairs:
-            s_entries = dict(s.coeffs)
-            if not s.theta_coeff.is_zero():
-                s_entries["theta"] = s.theta_coeff
-            t_entries = dict(t.coeffs)
-            if not t.theta_coeff.is_zero():
-                t_entries["theta"] = t.theta_coeff
-            for u, cu in s_entries.items():
-                for v, cv in t_entries.items():
+            for u, cu in s.coeffs.items():
+                for v, cv in t.coeffs.items():
                     acc = comps.get((u, v), zero) + cu * cv
                     if acc.is_zero():
                         comps.pop((u, v), None)
@@ -173,52 +185,33 @@ class DriverTensor:
 def driver_tensor(kind, chart: Chart) -> DriverTensor:
     """The decomposed tensor for a product kind on a chart.
 
-    normal:     [(d/dp_k, d/dq^k)]_k
-    antinormal: [(-d/dq^k, d/dp_k)]_k
+    Each bracket pair (c, u, v) of the chart, pi = sum c d/du ^ d/dv,
+    gives the normal pair (c d/du, d/dv) and the antinormal pair
+    (-c d/dv, d/du).
+
+    normal:     the normal pairs          (real charts)
+    antinormal: the antinormal pairs      (real charts)
     moyal:      normal pairs followed by antinormal pairs
-    wick:       [(2i d/dzb, d/dz)]       (bargmann chart only)
+    wick:       the normal pairs          (bargmann chart only)
     """
     kind = StarKind.coerce(kind)
-    if kind == StarKind.WICK:
-        if chart.kind != "bargmann":
-            raise ChartError("the wick driver requires the bargmann chart")
-        pairs = [(chart.coordinate_field("zb", GaussianRational(0, 2)), chart.coordinate_field("z"))]
-        return DriverTensor(chart, pairs, name="wick")
-    if chart.kind == "bargmann":
-        if kind != StarKind.MOYAL:
-            raise ChartError(f"{kind.value} driver requires a real chart (use wick)")
-        pairs = [
-            (chart.coordinate_field("zb", GaussianRational(0, 2)), chart.coordinate_field("z")),
-            (chart.coordinate_field("z", GaussianRational(0, -2)), chart.coordinate_field("zb")),
-        ]
-        return DriverTensor(chart, pairs, name="moyal")
-    normal_pairs = [
-        (chart.coordinate_field(pv), chart.coordinate_field(qv))
-        for pv, qv in zip(chart.momentum_vars, chart.position_vars)
-    ]
-    anti_pairs = [
-        (chart.coordinate_field(qv, -1), chart.coordinate_field(pv))
-        for pv, qv in zip(chart.momentum_vars, chart.position_vars)
-    ]
-    if kind == StarKind.NORMAL:
-        return DriverTensor(chart, normal_pairs, name="normal")
-    if kind == StarKind.ANTINORMAL:
-        return DriverTensor(chart, anti_pairs, name="antinormal")
-    return DriverTensor(chart, normal_pairs + anti_pairs, name="moyal")
+    if kind == StarKind.WICK and chart.kind != "bargmann":
+        raise ChartError("the wick driver requires the bargmann chart")
+    if kind in (StarKind.NORMAL, StarKind.ANTINORMAL) and chart.kind == "bargmann":
+        raise ChartError(f"{kind.value} driver requires a real chart (use wick)")
+    pairs = []
+    if kind != StarKind.ANTINORMAL:
+        pairs += [(chart.coordinate_field(u, c), chart.coordinate_field(v))
+                  for c, u, v in chart.bracket_pairs]
+    if kind in (StarKind.ANTINORMAL, StarKind.MOYAL):
+        pairs += [(chart.coordinate_field(v, -c), chart.coordinate_field(u))
+                  for c, u, v in chart.bracket_pairs]
+    return DriverTensor(chart, pairs, name=kind.value)
 
 
 def _require_observable(f: EquivariantFunction, what: str):
     if not f.is_observable():
         raise ObservableError(f"{what} must be a classical observable (no theta, jets or factor)")
-
-
-def _function_key(f: EquivariantFunction):
-    return (
-        f.theta_weight,
-        f.jet_vars,
-        f.weight_factor.name if f.weight_factor is not None else None,
-        frozenset(f.terms.items()),
-    )
 
 
 def exponential_product(
@@ -230,45 +223,23 @@ def exponential_product(
     """m . exp(coefficient * Lambda) (f (x) g), summed until the terms vanish.
 
     Terminates for polynomial inputs: every application of the driver
-    differentiates the left slot.  Tensor terms with equal left slots
-    are merged by summing their right slots (the tensor is unchanged,
-    by bilinearity), which keeps the term count polynomial even for the
-    full Poisson driver.
+    differentiates the left slot.
     """
     total = f * g
     terms = [(f, g)]
-    k = 0
     coeff_power = C_ONE
     budget = f.chart_degree() + g.chart_degree() + 2 * len(driver.pairs) + 4
-    while terms:
-        k += 1
-        if k > budget:
-            raise ChartError("driver series failed to terminate (non-polynomial input?)")
-        merged: dict = {}
-        for left, right in terms:
-            for s, t in driver.pairs:
-                new_left = s(left)
-                if new_left.is_zero():
-                    continue
-                new_right = t(right)
-                if new_right.is_zero():
-                    continue
-                key = _function_key(new_left)
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [new_left, new_right]
-                else:
-                    entry[1] = entry[1] + new_right
-        terms = [(left, right) for left, right in merged.values() if not right.is_zero()]
+    for k in range(1, budget + 1):
+        terms = driver.apply_once(terms)
         if not terms:
-            break
+            return total
         coeff_power = coeff_power * coefficient
         scale = coeff_power.scaled(1, factorial(k))
         partial = EquivariantFunction.zero(driver.chart)
         for left, right in terms:
             partial = partial + left * right
         total = total + partial * scale
-    return total
+    raise ChartError("driver series failed to terminate (non-polynomial input?)")
 
 
 def star_coefficient(kind) -> Coefficient:
@@ -358,14 +329,13 @@ def quantize(
 
 
 def yano_laplacian(chart: Chart, f: EquivariantFunction) -> EquivariantFunction:
-    """-sum_k d2/dq^k dp_k on real charts; -2i d2/dzb dz on the bargmann chart."""
+    """-sum c d2/du dv over the chart's bracket pairs (c, u, v): -sum_k
+    d2/dp_k dq^k on real charts, -2i d2/dzb dz on the bargmann chart."""
     _require_observable(f, "Laplacian argument")
     out = EquivariantFunction.zero(chart)
-    if chart.kind == "real":
-        for pv, qv in zip(chart.momentum_vars, chart.position_vars):
-            out = out - f.differentiate(qv).differentiate(pv)
-        return out
-    return f.differentiate("zb").differentiate("z") * GaussianRational(0, -2)
+    for c, u, v in chart.bracket_pairs:
+        out = out - f.differentiate(u).differentiate(v) * c
+    return out
 
 
 def agarwal_transform(chart: Chart, f: EquivariantFunction) -> EquivariantFunction:

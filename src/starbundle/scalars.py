@@ -8,12 +8,22 @@ with rational real and imaginary parts.
 Each c_k is stored as a triple of plain ints (a, b, d) meaning
 (a + b*i)/d, canonical (d > 0, gcd(a, b, d) == 1) so that equality is
 structural.  ``Fraction`` appears only at the API edge.
+
+No integer printed through :meth:`Coefficient.parts` may have more than
+``MAX_DIGITS`` decimal digits, which keeps every printed number under
+CPython's default 4300-digit int-to-str limit; a larger one raises
+:class:`LimitError` instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from .errors import LimitError
+
+MAX_DIGITS = 4000
+_DIGIT_BOUND = 10 ** MAX_DIGITS
 
 
 def _reduce(a: int, b: int, d: int) -> tuple:
@@ -242,7 +252,10 @@ class Coefficient:
         out = []
         for k, (a, b, d) in sorted(self._data.items()):
             ga, gb = gcd(a, d), gcd(b, d)
-            out.append((k, (a // ga, d // ga), (b // gb, d // gb)))
+            re, im = (a // ga, d // ga), (b // gb, d // gb)
+            if max(abs(re[0]), re[1], abs(im[0]), im[1]) >= _DIGIT_BOUND:
+                raise LimitError(f"a coefficient has more than MAX_DIGITS = {MAX_DIGITS} digits")
+            out.append((k, re, im))
         return out
 
     def __bool__(self):

@@ -168,11 +168,11 @@ class TestDerivation:
     @given(bundle_functions(CH2), bundle_functions(CH2))
     @settings(max_examples=40)
     def test_leibniz(self, f, g):
-        d = Derivation(
-            CH2,
-            {"p1": CH2.var("q1"), "q2": CH2.one()},
-            CH2.var("p2") * Coefficient.hbar(-1),
-        )
+        d = Derivation(CH2, {
+            "p1": CH2.var("q1"),
+            "q2": CH2.one(),
+            "theta": CH2.var("p2") * Coefficient.hbar(-1),
+        })
         assert d(f * g) == d(f) * g + f * d(g)
 
     def test_theta_action_on_weight(self):
@@ -180,13 +180,23 @@ class TestDerivation:
         wave = EquivariantFunction(CH, CH.var("q1").terms, theta_weight=3)
         assert d(wave) == wave * GaussianRational(0, 3)
 
-    def test_theta_entry_of_coeffs_is_the_theta_coefficient(self):
+    def test_theta_is_an_ordinary_coeffs_entry(self):
         keyed = Derivation(CH, {"theta": CH.one(), "p1": CH.var("q1")})
-        assert keyed == Derivation(CH, {"p1": CH.var("q1")}, CH.one())
-        assert "theta" not in keyed.coeffs
-        assert keyed.theta_coeff == CH.one()
-        both = Derivation(CH, {"theta": CH.var("p1")}, CH.one())
-        assert both.theta_coeff == CH.var("p1") + CH.one()
+        assert keyed == Derivation(CH, {"p1": CH.var("q1")}) + CH.reeb_field()
+        assert keyed.coefficient("theta") == CH.one()
+        both = keyed + Derivation(CH, {"theta": CH.var("p1")})
+        assert both.coeffs["theta"] == CH.var("p1") + CH.one()
+        assert Derivation(CH, {"theta": CH.zero()}).coeffs == {}
+
+    def test_derivation_is_immutable(self):
+        d = Derivation(CH, {"p1": CH.var("q1")})
+        with pytest.raises(TypeError):
+            d.coeffs["p1"] = CH.one()
+        with pytest.raises(AttributeError):
+            d.chart = CH2
+        with pytest.raises(AttributeError):
+            d.coeffs = {}
+        assert d.coeffs["p1"] == CH.var("q1") and d.chart == CH
 
     def test_commutator_of_coordinates_vanishes(self):
         d1 = Derivation.coordinate(CH2, "p1")

@@ -165,6 +165,29 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "-i*hbar^-99999999999*q1"
 
+    @pytest.mark.parametrize("argv, exit_code, message", [
+        (["star", "--dim", "1", "((3^64)^64)^64", "q1"], 3, "MAX_DIGITS = 4000"),
+        (["star", "--dim", "1", "--format", "json", "((3^64)^64)^64", "q1"], 3,
+         "MAX_DIGITS = 4000"),
+        (["extract", "--dim", "1", "((3^64)^64)^64*p1"], 3, "MAX_DIGITS = 4000"),
+        (["star", "--dim", "1", "1" * 5001, "q1"], 2, "MAX_DIGITS = 4000"),
+        (["star", "--dim", "1", "p1" + "1" * 5000, "q1"], 2, "MAX_DIGITS = 4000"),
+        (["star", "--dim", "1", "psi(" + "1" * 5000 + ")", "q1"], 2, "MAX_DIGITS = 4000"),
+        (["star", "--dim", "1", "e(" + "1" * 5000 + ")", "q1"], 2, "MAX_DIGITS = 4000"),
+    ])
+    def test_oversized_numbers_are_refused_quickly(self, argv, exit_code, message):
+        start = time.monotonic()
+        proc = run_dq_process(argv, timeout=20)
+        assert time.monotonic() - start < 5
+        assert proc.returncode == exit_code and proc.stdout == ""
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("expr", ["2\u00b2", "p\u00b2", "p1^\u00b2"])
+    def test_non_decimal_digits_are_parse_errors(self, expr):
+        code, out, err = run_cli(["star", "--dim", "1", expr, "q1"])
+        assert code == 2 and out == ""
+        assert "\u00b2" in err
+
     def test_polarization_violation_exit_code(self):
         code, _, err = run_cli(["quantize", "--product", "antinormal",
                                 "--rep", "position", "p1"])

@@ -11,9 +11,7 @@ from starbundle import (
     DiffOperator,
     EquivariantFunction,
     Representation,
-    compose_operators,
     extract_operator,
-    formal_adjoint,
     position_wave,
     quantize,
     star_product,
@@ -81,32 +79,31 @@ class TestCompose:
         d = DiffOperator(POSITION, {(1,): CH.one()})
         mult = DiffOperator(POSITION, {(0,): CH.var("q1")})
         expected = DiffOperator(POSITION, {(1,): CH.var("q1"), (0,): CH.one()})
-        assert compose_operators(d, mult) == expected
+        assert d.compose(mult) == expected
 
     def test_canonical_commutator(self):
         Qp = extract_operator("normal", CH.var("p1"), POSITION)
         Qq = extract_operator("normal", CH.var("q1"), POSITION)
-        commutator = compose_operators(Qp, Qq) - compose_operators(Qq, Qp)
+        commutator = Qp.compose(Qq) - Qq.compose(Qp)
         assert commutator == DiffOperator.identity(POSITION) * HBAR_OVER_I
 
     def test_identity_neutral(self):
         D = extract_operator("moyal", CH.var("p1") ** 2 * CH.var("q1"), POSITION)
-        assert compose_operators(D, DiffOperator.identity(POSITION)) == D
-        assert compose_operators(DiffOperator.identity(POSITION), D) == D
+        assert D.compose(DiffOperator.identity(POSITION)) == D
+        assert DiffOperator.identity(POSITION).compose(D) == D
 
     def test_composition_matches_sequential_application(self):
         D1 = extract_operator("normal", CH.var("p1") * CH.var("q1"), POSITION)
         D2 = extract_operator("normal", CH.var("p1") ** 2, POSITION)
         component = CH.var("q1") ** 4 + CH.var("q1")
-        assert compose_operators(D1, D2).apply_to(component) \
+        assert D1.compose(D2).apply_to(component) \
             == D1.apply_to(D2.apply_to(component))
 
     @given(observables(CH, max_degree=3), observables(CH, max_degree=3))
     @settings(max_examples=20)
     def test_homomorphism(self, F, G):
         left = extract_operator("normal", star_product("normal", F, G), POSITION)
-        right = compose_operators(
-            extract_operator("normal", F, POSITION),
+        right = extract_operator("normal", F, POSITION).compose(
             extract_operator("normal", G, POSITION),
         )
         assert left == right
@@ -115,7 +112,7 @@ class TestCompose:
 class TestAdjoint:
     def test_momentum_operator_symmetric(self):
         D = DiffOperator(POSITION, {(1,): CH.constant(HBAR_OVER_I)})
-        assert formal_adjoint(D) == D
+        assert D.adjoint() == D
 
     def test_normal_pq_not_symmetric(self):
         D = extract_operator("normal", CH.var("p1") * CH.var("q1"), POSITION)
@@ -123,31 +120,30 @@ class TestAdjoint:
             (1,): CH.var("q1") * HBAR_OVER_I,
             (0,): CH.constant(HBAR_OVER_I),
         })
-        assert formal_adjoint(D) == expected
-        assert formal_adjoint(D) != D
+        assert D.adjoint() == expected
+        assert D.adjoint() != D
 
     def test_weyl_pq_symmetric(self):
         D = extract_operator("moyal", CH.var("p1") * CH.var("q1"), POSITION)
-        assert formal_adjoint(D) == D
+        assert D.adjoint() == D
 
     @given(observables(CH, max_degree=3))
     @settings(max_examples=20)
     def test_involution(self, F):
         D = extract_operator("normal", F, POSITION)
-        assert formal_adjoint(formal_adjoint(D)) == D
+        assert D.adjoint().adjoint() == D
 
     @given(observables(CH, max_degree=2), observables(CH, max_degree=2))
     @settings(max_examples=20)
     def test_antihomomorphism(self, F, G):
         D1 = extract_operator("normal", F, POSITION)
         D2 = extract_operator("normal", G, POSITION)
-        assert formal_adjoint(compose_operators(D1, D2)) \
-            == compose_operators(formal_adjoint(D2), formal_adjoint(D1))
+        assert D1.compose(D2).adjoint() == D2.adjoint().compose(D1.adjoint())
 
     def test_bargmann_adjoint_rejected(self):
         D = DiffOperator(BARGMANN, {(0,): BC.var("z")})
         with pytest.raises(ChartError):
-            formal_adjoint(D)
+            D.adjoint()
 
 
 class TestRepresentationSurface:

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import coefficients, gaussians
-from starbundle import Coefficient, GaussianRational
-from starbundle.scalars import GR_I, HBAR_OVER_I, I_OVER_HBAR
+from starbundle import Coefficient, GaussianRational, LimitError
+from starbundle.scalars import GR_I, HBAR_OVER_I, I_OVER_HBAR, MAX_DIGITS
 
 
 class TestGaussianRational:
@@ -75,6 +75,14 @@ class TestCoefficient:
 
     def test_conjugate_keeps_hbar_real(self):
         assert HBAR_OVER_I.conjugate() == Coefficient.hbar(1, GaussianRational(0, 1))
+
+    def test_parts_refuse_numbers_past_max_digits(self):
+        largest = 10 ** MAX_DIGITS - 1
+        assert Coefficient({0: GaussianRational(largest)}).parts() == [(0, (largest, 1), (0, 1))]
+        for value in (GaussianRational(largest + 1), GaussianRational(0, -largest - 1),
+                      GaussianRational(Fraction(1, largest + 1))):
+            with pytest.raises(LimitError, match="MAX_DIGITS"):
+                Coefficient.hbar(-1, value).parts()
 
     @given(coefficients, coefficients, coefficients)
     def test_ring_axioms(self, a, b, c):
