@@ -1,7 +1,8 @@
 """Seeded, reproducible property-check suites.
 
-Each suite returns a list of :class:`CheckResult`; a failing result
-carries the concrete counterexample expressions in ``detail``.  The
+Each suite returns a list of :class:`CheckResult`, one per property; a
+failing result carries the first counterexample found for it in
+``detail``.  The
 CLI ``check`` command renders them, and the acceptance tests assert
 them wholesale.  All checks are exact symbolic identities -- there are
 no tolerances anywhere.
@@ -85,6 +86,13 @@ class Sampler:
         coeff = Coefficient(data)
         return coeff if coeff else Coefficient.one()
 
+    def multi_index(self, n: int, max_degree: int) -> tuple[int, ...]:
+        """Exponents of n variables with sum at most ``max_degree``, by rejection."""
+        while True:
+            alpha = tuple(self.rng.randint(0, max_degree) for _ in range(n))
+            if sum(alpha) <= max_degree:
+                return alpha
+
     def _monomial_over(self, variables, max_degree: int) -> Monomial:
         degree = self.rng.randint(0, max_degree)
         exps: dict[str, int] = {}
@@ -148,19 +156,49 @@ class Sampler:
                 continue
 
 
-def _result(suite, name, ok, detail=""):
-    return CheckResult(suite, name, bool(ok), detail)
+class _Recorder:
+    """Builds one suite's results, in the order their names are given.
+
+    A property checked over many cases passes when every case passes;
+    when it fails it keeps the detail of its first failing case.  That
+    detail is a callable, so a passing case never formats anything.  A
+    one-shot landmark keeps its fixed detail whether it passes or not.
+    """
+
+    def __init__(self, suite: str, *names: str):
+        self.suite = suite
+        self.outcomes = {name: (True, "") for name in names}
+
+    def case(self, name: str, ok, detail) -> bool:
+        ok = bool(ok)
+        if not ok and self.outcomes[name][0]:
+            self.outcomes[name] = (False, detail())
+        return ok
+
+    def landmark(self, name: str, ok, detail: str) -> None:
+        self.outcomes[name] = (bool(ok), detail)
+
+    def results(self) -> list[CheckResult]:
+        return [CheckResult(self.suite, name, ok, detail)
+                for name, (ok, detail) in self.outcomes.items()]
+
+
+def _degree_grid(x, y, max_degree: int):
+    """``(a, b, x^a * y^b)`` for every ``a + b <= max_degree``, a-major."""
+    for a in range(max_degree + 1):
+        for b in range(max_degree + 1 - a):
+            yield a, b, x ** a * y ** b
 
 
 # -- suites ----------------------------------------------------------------
 
 
 def check_bracket(seed: int = 0, cases: int = 200, dims=(1, 2)) -> list[CheckResult]:
-    suite = "bracket"
-    results = []
+    rec = _Recorder(
+        "bracket", "antisymmetry", "leibniz", "poisson-reduction-and-jacobi",
+        "wave-equivariance", "jacobiator-theta-linear", "jacobiator-antisymmetry-degenerate",
+    )
     sampler = Sampler(seed)
-    anti = leibniz = poisson = equivariance = True
-    detail_anti = detail_leib = detail_poisson = detail_equi = ""
     for index in range(cases):
         chart = Chart.real(dims[index % len(dims)])
         jet_vars = chart.variables if sampler.rng.random() < 0.4 else None
@@ -168,50 +206,43 @@ def check_bracket(seed: int = 0, cases: int = 200, dims=(1, 2)) -> list[CheckRes
         g = sampler.equivariant(chart, 3, jet_vars=jet_vars, theta_poly=True)
         h = sampler.equivariant(chart, 2, jet_vars=jet_vars, theta_poly=True)
         gh = g * h
-        if souriau_bracket(chart, f, g) != -souriau_bracket(chart, g, f):
-            anti, detail_anti = False, f"f={f}, g={g}"
-        if souriau_bracket(chart, f, gh) != souriau_bracket(chart, f, g) * h + g * souriau_bracket(chart, f, h):
-            leibniz, detail_leib = False, f"f={f}, g={g}, h={h}"
+        rec.case("antisymmetry",
+                 souriau_bracket(chart, f, g) == -souriau_bracket(chart, g, f),
+                 lambda: f"f={f}, g={g}")
+        rec.case("leibniz",
+                 souriau_bracket(chart, f, gh)
+                 == souriau_bracket(chart, f, g) * h + g * souriau_bracket(chart, f, h),
+                 lambda: f"f={f}, g={g}, h={h}")
         F = sampler.observable(chart, 3)
         G = sampler.observable(chart, 3)
         pb = Chart.real(chart.n).zero()
         for pv, qv in zip(chart.momentum_vars, chart.position_vars):
             pb = pb + F.differentiate(pv) * G.differentiate(qv) \
                 - G.differentiate(pv) * F.differentiate(qv)
-        if souriau_bracket(chart, F, G) != pb:
-            poisson, detail_poisson = False, f"F={F}, G={G}"
-        if jacobiator(chart, F, G, sampler.observable(chart, 2)).is_zero() is False:
-            poisson, detail_poisson = False, f"jacobiator F={F}, G={G}"
+        rec.case("poisson-reduction-and-jacobi", souriau_bracket(chart, F, G) == pb,
+                 lambda: f"F={F}, G={G}")
+        rec.case("poisson-reduction-and-jacobi",
+                 jacobiator(chart, F, G, sampler.observable(chart, 2)).is_zero(),
+                 lambda: f"jacobiator F={F}, G={G}")
         psi = position_wave(chart)
         br = souriau_bracket(chart, F, psi)
-        if not br.is_zero() and br.theta_weight != 1:
-            equivariance, detail_equi = False, f"F={F}"
-    results.append(_result(suite, "antisymmetry", anti, detail_anti))
-    results.append(_result(suite, "leibniz", leibniz, detail_leib))
-    results.append(_result(suite, "poisson-reduction-and-jacobi", poisson, detail_poisson))
-    results.append(_result(suite, "wave-equivariance", equivariance, detail_equi))
+        rec.case("wave-equivariance", br.is_zero() or br.theta_weight == 1, lambda: f"F={F}")
 
     chart = Chart.real(1)
     p, q, theta = chart.var("p1"), chart.var("q1"), chart.var("theta")
     expected = chart.constant(Coefficient.hbar(-1, -1))
     value = jacobiator(chart, p, q, theta)
-    results.append(_result(
-        suite, "jacobiator-theta-linear", value == expected,
-        f"jacobiator(p,q,theta) = {value}, expected -hbar^-1",
-    ))
-    results.append(_result(
-        suite, "jacobiator-antisymmetry-degenerate",
-        jacobiator(chart, p, p, q).is_zero(), "jacobiator(p,p,q) != 0",
-    ))
-    return results
+    rec.landmark("jacobiator-theta-linear", value == expected,
+                 f"jacobiator(p,q,theta) = {value}, expected -hbar^-1")
+    rec.landmark("jacobiator-antisymmetry-degenerate",
+                 jacobiator(chart, p, p, q).is_zero(), "jacobiator(p,p,q) != 0")
+    return rec.results()
 
 
 def check_lifts(seed: int = 0, cases: int = 40, jmax: int = 5) -> list[CheckResult]:
-    suite = "lifts"
-    results = []
+    rec = _Recorder("lifts", "commutator-structural", "commutator-applied",
+                    "reeb-commutes", "iterated-commutator")
     sampler = Sampler(seed)
-    structural = applied = reeb = iterated = True
-    detail = ""
     for n in (1, 2, 3):
         chart = Chart.real(n)
         eta = chart.reeb_field()
@@ -220,10 +251,10 @@ def check_lifts(seed: int = 0, cases: int = 40, jmax: int = 5) -> list[CheckResu
         for ell in range(n):
             for m in range(n):
                 expected = eta * Coefficient.hbar(-1, -1) if ell == m else Derivation(chart)
-                if lifts_p[ell].commutator(lifts_q[m]) != expected:
-                    structural = False
-                if not eta.commutator(lifts_q[m]).is_zero():
-                    reeb = False
+                rec.case("commutator-structural", lifts_p[ell].commutator(lifts_q[m]) == expected,
+                         lambda: f"n={n}, ell={ell}, m={m}")
+                rec.case("reeb-commutes", eta.commutator(lifts_q[m]).is_zero(),
+                         lambda: f"n={n}, m={m}")
         for _ in range(cases // 3):
             f = sampler.equivariant(chart, 3, jet_vars=chart.position_vars, theta_poly=True)
             for ell in range(n):
@@ -231,8 +262,7 @@ def check_lifts(seed: int = 0, cases: int = 40, jmax: int = 5) -> list[CheckResu
                     lhs = lifts_p[ell](lifts_q[m](f)) - lifts_q[m](lifts_p[ell](f))
                     rhs = (eta * Coefficient.hbar(-1, -1))(f) if ell == m \
                         else EquivariantFunction.zero(chart)
-                    if lhs != rhs:
-                        applied, detail = False, f"n={n}, f={f}"
+                    rec.case("commutator-applied", lhs == rhs, lambda: f"n={n}, f={f}")
     chart = Chart.real(2)
     eta = chart.reeb_field()
     for _ in range(10):
@@ -253,24 +283,18 @@ def check_lifts(seed: int = 0, cases: int = 40, jmax: int = 5) -> list[CheckResu
                     for _ in range(j - 1):
                         correction = lq(correction)
                     rhs = rhs + correction
-                if lhs != rhs:
-                    iterated, detail = False, f"j={j}, ell={ell}, m={m}, f={f}"
-    results.append(_result(suite, "commutator-structural", structural))
-    results.append(_result(suite, "commutator-applied", applied, detail))
-    results.append(_result(suite, "reeb-commutes", reeb))
-    results.append(_result(suite, "iterated-commutator", iterated, detail))
-    return results
+                rec.case("iterated-commutator", lhs == rhs,
+                         lambda: f"j={j}, ell={ell}, m={m}, f={f}")
+    return rec.results()
 
 
 _MODULE_KINDS = (StarKind.NORMAL, StarKind.ANTINORMAL, StarKind.WICK)
 
 
 def check_module(seed: int = 0, cases: int = 200, max_degree: int = 4, dims=(1, 2)) -> list[CheckResult]:
-    suite = "module"
+    rec = _Recorder("module", *(f"{kind.value}-arbitrary-h" for kind in _MODULE_KINDS),
+                    "moyal-on-polarized", "full-coefficient-counterexample")
     sampler = Sampler(seed)
-    results = []
-    status = {kind: (True, "") for kind in _MODULE_KINDS}
-    moyal_ok, moyal_detail = True, ""
     bargmann = Chart.bargmann()
     for index in range(cases):
         chart = Chart.real(dims[index % len(dims)])
@@ -293,8 +317,7 @@ def check_module(seed: int = 0, cases: int = 200, max_degree: int = 4, dims=(1, 
                 )
             lhs = bullet_product(kind, star_product(kind, F, G), h)
             rhs = bullet_product(kind, F, bullet_product(kind, G, h))
-            if lhs != rhs and status[kind][0]:
-                status[kind] = (False, f"F={F}, G={G}, h={h}")
+            rec.case(f"{kind.value}-arbitrary-h", lhs == rhs, lambda: f"F={F}, G={G}, h={h}")
         F = sampler.observable(chart, max_degree)
         G = sampler.observable(chart, max_degree)
         psi = position_wave(chart, sampler.polynomial(
@@ -303,12 +326,7 @@ def check_module(seed: int = 0, cases: int = 200, max_degree: int = 4, dims=(1, 
             if sampler.rng.random() < 0.5 else None)
         lhs = bullet_product(StarKind.MOYAL, star_product(StarKind.MOYAL, F, G), psi)
         rhs = bullet_product(StarKind.MOYAL, F, bullet_product(StarKind.MOYAL, G, psi))
-        if lhs != rhs and moyal_ok:
-            moyal_ok, moyal_detail = False, f"F={F}, G={G}, psi={psi}"
-    for kind in _MODULE_KINDS:
-        ok, detail = status[kind]
-        results.append(_result(suite, f"{kind.value}-arbitrary-h", ok, detail))
-    results.append(_result(suite, "moyal-on-polarized", moyal_ok, moyal_detail))
+        rec.case("moyal-on-polarized", lhs == rhs, lambda: f"F={F}, G={G}, psi={psi}")
 
     # documented counterexample: the hbar/i-exponential Poisson-driver star
     # fails the identity by exactly (hbar/(2i)) psi on (p, q, psi(q)e^{i theta})
@@ -319,19 +337,17 @@ def check_module(seed: int = 0, cases: int = 200, max_degree: int = 4, dims=(1, 
     defect = bullet_product(StarKind.MOYAL, full_star, psi) \
         - bullet_product(StarKind.MOYAL, p, bullet_product(StarKind.MOYAL, q, psi))
     expected = psi * HALF_HBAR_OVER_I
-    results.append(_result(
-        suite, "full-coefficient-counterexample", defect == expected,
-        f"defect = {defect}, expected (hbar/(2i))*psi",
-    ))
-    return results
+    rec.landmark("full-coefficient-counterexample", defect == expected,
+                 f"defect = {defect}, expected (hbar/(2i))*psi")
+    return rec.results()
 
 
 def check_polarization(seed: int = 0, cases: int = 200, max_degree: int = 5) -> list[CheckResult]:
-    suite = "polarization"
+    kinds = (StarKind.NORMAL, StarKind.MOYAL, StarKind.WICK)
+    rec = _Recorder("polarization", *(f"{kind.value}-preserves-polarization" for kind in kinds),
+                    "antinormal-failure-witness")
     sampler = Sampler(seed)
-    results = []
     dims = (1, 1, 2, 2, 3)
-    ok = {kind: (True, "") for kind in (StarKind.NORMAL, StarKind.MOYAL, StarKind.WICK)}
     bargmann = Chart.bargmann()
     for index in range(cases):
         chart = Chart.real(dims[index % len(dims)])
@@ -340,56 +356,43 @@ def check_polarization(seed: int = 0, cases: int = 200, max_degree: int = 5) -> 
         for kind in (StarKind.NORMAL, StarKind.MOYAL):
             out = bullet_product(kind, F, psi)
             for pv in chart.momentum_vars:
-                if not horizontal_lift(chart, pv)(out).is_zero() and ok[kind][0]:
-                    ok[kind] = (False, f"F={F}, direction={pv}")
+                rec.case(f"{kind.value}-preserves-polarization",
+                         horizontal_lift(chart, pv)(out).is_zero(),
+                         lambda: f"F={F}, direction={pv}")
         Fb = sampler.observable(bargmann, max_degree, terms=3)
         out = bullet_product(StarKind.WICK, Fb, bargmann_wave(bargmann))
-        if not horizontal_lift(bargmann, "zb")(out).is_zero() and ok[StarKind.WICK][0]:
-            ok[StarKind.WICK] = (False, f"F={Fb}")
-    for kind, (good, detail) in ok.items():
-        results.append(_result(suite, f"{kind.value}-preserves-polarization", good, detail))
+        rec.case("wick-preserves-polarization", horizontal_lift(bargmann, "zb")(out).is_zero(),
+                 lambda: f"F={Fb}")
 
     # swapped-driver failure witness: p bullet_mu psi = p*psi is not polarized
     chart = Chart.real(1)
     p = chart.var("p1")
     psi = position_wave(chart)
     out = bullet_product(StarKind.ANTINORMAL, p, psi)
-    witness_ok = out == p * psi and horizontal_lift(chart, "p1")(out) == psi
-    results.append(_result(
-        suite, "antinormal-failure-witness", witness_ok,
-        f"p bullet psi = {out}",
-    ))
-    return results
+    rec.landmark("antinormal-failure-witness",
+                 out == p * psi and horizontal_lift(chart, "p1")(out) == psi,
+                 f"p bullet psi = {out}")
+    return rec.results()
 
 
 def check_agarwal(seed: int = 0, max_degree: int = 6) -> list[CheckResult]:
-    suite = "agarwal"
-    results = []
+    rec = _Recorder("agarwal", "moyal-equals-corrected-normal", "bargmann-analogue",
+                    "modulus-squared-landmark")
     chart = Chart.real(1)
     rep = Representation.position(chart)
     p, q = chart.var("p1"), chart.var("q1")
-    ok, detail = True, ""
-    for a in range(max_degree + 1):
-        for b in range(max_degree + 1 - a):
-            F = p ** a * q ** b
-            left = extract_operator(StarKind.MOYAL, F, rep)
-            right = extract_operator(StarKind.NORMAL, agarwal_transform(chart, F), rep)
-            if left != right:
-                ok, detail = False, f"F=p^{a}*q^{b}"
-    results.append(_result(suite, "moyal-equals-corrected-normal", ok, detail))
+    for a, b, F in _degree_grid(p, q, max_degree):
+        left = extract_operator(StarKind.MOYAL, F, rep)
+        right = extract_operator(StarKind.NORMAL, agarwal_transform(chart, F), rep)
+        rec.case("moyal-equals-corrected-normal", left == right, lambda: f"F=p^{a}*q^{b}")
 
     bargmann = Chart.bargmann()
     brep = Representation.bargmann(bargmann)
     z, zb = bargmann.var("z"), bargmann.var("zb")
-    ok, detail = True, ""
-    for a in range(4):
-        for b in range(4 - a):
-            F = z ** a * zb ** b
-            left = extract_operator(StarKind.MOYAL, F, brep)
-            right = extract_operator(StarKind.WICK, agarwal_transform(bargmann, F), brep)
-            if left != right:
-                ok, detail = False, f"F=z^{a}*zb^{b}"
-    results.append(_result(suite, "bargmann-analogue", ok, detail))
+    for a, b, F in _degree_grid(z, zb, 3):
+        left = extract_operator(StarKind.MOYAL, F, brep)
+        right = extract_operator(StarKind.WICK, agarwal_transform(bargmann, F), brep)
+        rec.case("bargmann-analogue", left == right, lambda: f"F=z^{a}*zb^{b}")
 
     # |z|^2 quantizes to 2 hbar (z psi' + psi/2), the closed-form landmark value
     psi = bargmann_wave(bargmann)
@@ -398,16 +401,11 @@ def check_agarwal(seed: int = 0, max_degree: int = 6) -> list[CheckResult]:
     jet1 = EquivariantFunction.jet(bargmann, ("z",), (1,))
     two_hbar = Coefficient.hbar(1, 2)
     expected = bargmann_wave(bargmann, z * jet1 + jet0 * GaussianRational(Fraction(1, 2))) * two_hbar
-    results.append(_result(
-        suite, "modulus-squared-landmark", out == expected, f"got {out}",
-    ))
-    return results
+    rec.landmark("modulus-squared-landmark", out == expected, f"got {out}")
+    return rec.results()
 
 
 def check_homomorphism(seed: int = 0, cases: int = 100) -> list[CheckResult]:
-    suite = "homomorphism"
-    sampler = Sampler(seed)
-    results = []
     setups = [
         (StarKind.NORMAL, Representation.position(Chart.real(1))),
         (StarKind.NORMAL, Representation.position(Chart.real(2))),
@@ -415,42 +413,39 @@ def check_homomorphism(seed: int = 0, cases: int = 100) -> list[CheckResult]:
         (StarKind.ANTINORMAL, Representation.momentum(Chart.real(1))),
         (StarKind.WICK, Representation.bargmann(Chart.bargmann())),
     ]
-    for kind, rep in setups:
-        ok, detail = True, ""
-        per_case = cases if rep.chart.n == 1 else cases // 2
-        for _ in range(per_case):
+    canonical = [
+        (StarKind.NORMAL, Representation.position(Chart.real(1))),
+        (StarKind.MOYAL, Representation.position(Chart.real(1))),
+        (StarKind.ANTINORMAL, Representation.momentum(Chart.real(1))),
+    ]
+    names = [f"{kind.value}-{rep.name}-n{rep.chart.n}" for kind, rep in setups]
+    rec = _Recorder("homomorphism", *names,
+                    *(f"canonical-commutator-{kind.value}" for kind, _ in canonical))
+    sampler = Sampler(seed)
+    for (kind, rep), name in zip(setups, names):
+        for _ in range(cases if rep.chart.n == 1 else cases // 2):
             F = sampler.observable(rep.chart, 3)
             G = sampler.observable(rep.chart, 3)
             left = extract_operator(kind, star_product(kind, F, G), rep)
             right = extract_operator(kind, F, rep).compose(extract_operator(kind, G, rep))
-            if left != right:
-                ok, detail = False, f"F={F}, G={G}"
+            if not rec.case(name, left == right, lambda: f"F={F}, G={G}"):
                 break
-        results.append(_result(suite, f"{kind.value}-{rep.name}-n{rep.chart.n}", ok, detail))
 
     # canonical commutator Q(p)Q(q) - Q(q)Q(p) = (hbar/i) id
-    for kind, rep in [
-        (StarKind.NORMAL, Representation.position(Chart.real(1))),
-        (StarKind.MOYAL, Representation.position(Chart.real(1))),
-        (StarKind.ANTINORMAL, Representation.momentum(Chart.real(1))),
-    ]:
+    for kind, rep in canonical:
         chart = rep.chart
         Qp = extract_operator(kind, chart.var("p1"), rep)
         Qq = extract_operator(kind, chart.var("q1"), rep)
         commutator = Qp.compose(Qq) - Qq.compose(Qp)
         expected = DiffOperator.identity(rep) * HBAR_OVER_I
-        results.append(_result(
-            suite, f"canonical-commutator-{kind.value}", commutator == expected,
-            f"got {commutator}",
-        ))
-    return results
+        rec.landmark(f"canonical-commutator-{kind.value}", commutator == expected,
+                     f"got {commutator}")
+    return rec.results()
 
 
 def check_charts(seed: int = 0, maps: int = 50, max_degree: int = 3, kmax: int = 4) -> list[CheckResult]:
-    suite = "charts"
+    rec = _Recorder("charts", "tensor-invariance", "power-agreement")
     sampler = Sampler(seed)
-    power_ok, power_detail = True, ""
-    tensor_ok, tensor_detail = True, ""
     for index in range(maps):
         chart = Chart.real(1 if index % 2 == 0 else 2)
         amap = sampler.affine_map(chart)
@@ -459,9 +454,8 @@ def check_charts(seed: int = 0, maps: int = 50, max_degree: int = 3, kmax: int =
         F2, G2 = amap.transform(F), amap.transform(G)
         for kind in (StarKind.NORMAL, StarKind.ANTINORMAL, StarKind.MOYAL):
             driver = driver_tensor(kind, chart)
-            if amap.transform(driver) != driver and tensor_ok:
-                tensor_ok = False
-                tensor_detail = f"kind={kind.value}, map={amap!r}"
+            rec.case("tensor-invariance", amap.transform(driver) == driver,
+                     lambda: f"kind={kind.value}, map={amap!r}")
             for k in range(kmax + 1):
                 old = EquivariantFunction.zero(chart)
                 for left, right in driver.power_terms(F, G, k):
@@ -469,20 +463,14 @@ def check_charts(seed: int = 0, maps: int = 50, max_degree: int = 3, kmax: int =
                 new = EquivariantFunction.zero(chart)
                 for left, right in driver.power_terms(F2, G2, k):
                     new = new + left * right
-                if amap.transform(old) != new and power_ok:
-                    power_ok = False
-                    power_detail = f"kind={kind.value}, k={k}, F={F}, G={G}"
-    return [
-        _result(suite, "tensor-invariance", tensor_ok, tensor_detail),
-        _result(suite, "power-agreement", power_ok, power_detail),
-    ]
+                rec.case("power-agreement", amap.transform(old) == new,
+                         lambda: f"kind={kind.value}, k={k}, F={F}, G={G}")
+    return rec.results()
 
 
 def check_prequantum(seed: int = 0, cases: int = 60, max_degree: int = 4) -> list[CheckResult]:
-    suite = "prequantum"
+    rec = _Recorder("prequantum", "coordinate-formula", "dirac-bracket-to-commutator")
     sampler = Sampler(seed)
-    results = []
-    coordinate_ok, coordinate_detail = True, ""
     for index in range(cases):
         chart = Chart.real(1 if index % 2 == 0 else 2)
         F = sampler.observable(chart, max_degree)
@@ -501,91 +489,73 @@ def check_prequantum(seed: int = 0, cases: int = 60, max_degree: int = 4) -> lis
             )
             body = body - F.differentiate(qv) * unit_jet(pv) * HBAR_OVER_I
         expected = EquivariantFunction(chart, body.terms, theta_weight=1, jet_vars=jets)
-        if prequantize(chart, F, psi) != expected and coordinate_ok:
-            coordinate_ok, coordinate_detail = False, f"F={F}"
-    results.append(_result(suite, "coordinate-formula", coordinate_ok, coordinate_detail))
+        rec.case("coordinate-formula", prequantize(chart, F, psi) == expected, lambda: f"F={F}")
 
     chart = Chart.real(1)
     p, q = chart.var("p1"), chart.var("q1")
     psi = prequantum_wave(chart)
-    dirac_ok, dirac_detail = True, ""
-    for a in range(5):
-        for b in range(5 - a):
-            for c in range(5):
-                for d in range(5 - c):
-                    F = p ** a * q ** b
-                    G = p ** c * q ** d
-                    pb = F.differentiate("p1") * G.differentiate("q1") \
-                        - G.differentiate("p1") * F.differentiate("q1")
-                    left = prequantize(chart, pb, psi)
-                    right = (
-                        prequantize(chart, F, prequantize(chart, G, psi))
-                        - prequantize(chart, G, prequantize(chart, F, psi))
-                    ) * I_OVER_HBAR
-                    if left != right and dirac_ok:
-                        dirac_ok, dirac_detail = False, f"F=p^{a}q^{b}, G=p^{c}q^{d}"
-    results.append(_result(suite, "dirac-bracket-to-commutator", dirac_ok, dirac_detail))
-    return results
+    grid = list(_degree_grid(p, q, 4))
+    for a, b, F in grid:
+        for c, d, G in grid:
+            pb = F.differentiate("p1") * G.differentiate("q1") \
+                - G.differentiate("p1") * F.differentiate("q1")
+            left = prequantize(chart, pb, psi)
+            right = (
+                prequantize(chart, F, prequantize(chart, G, psi))
+                - prequantize(chart, G, prequantize(chart, F, psi))
+            ) * I_OVER_HBAR
+            rec.case("dirac-bracket-to-commutator", left == right,
+                     lambda: f"F=p^{a}q^{b}, G=p^{c}q^{d}")
+    return rec.results()
 
 
 def check_inverse_p(seed: int = 0, max_degree: int = 6) -> list[CheckResult]:
     from .geometry import is_polarized
 
-    suite = "inversep"
+    rec = _Recorder("inversep", "momentum-after-inverse-is-identity",
+                    "inverse-after-momentum-drops-constant", "inverse-output-polarized")
     sampler = Sampler(seed)
     chart = Chart.real(1)
     p, q = chart.var("p1"), chart.var("q1")
-    results = []
-    left_ok = right_ok = polarized_ok = True
-    detail = ""
     components = [q ** k for k in range(max_degree + 1)]
     components += [sampler.polynomial(chart, ("q1",), max_degree) for _ in range(20)]
     for component in components:
         psi = position_wave(chart, component)
         inv = quantize_inverse_p(psi)
-        if not is_polarized(chart, chart.vertical_polarization(), inv):
-            polarized_ok, detail = False, f"psi={component}"
-        if quantize(StarKind.MOYAL, p, inv) != psi:
-            left_ok, detail = False, f"psi={component}"
+        rec.case("inverse-output-polarized",
+                 is_polarized(chart, chart.vertical_polarization(), inv),
+                 lambda: f"psi={component}")
+        rec.case("momentum-after-inverse-is-identity", quantize(StarKind.MOYAL, p, inv) == psi,
+                 lambda: f"psi={component}")
         back = quantize_inverse_p(quantize(StarKind.MOYAL, p, psi))
         constant = EquivariantFunction(
             chart,
             {Monomial(): component.terms.get(Monomial(), Coefficient.zero())},
             theta_weight=1,
         ) if Monomial() in component.terms else EquivariantFunction.zero(chart)
-        if back + constant != psi:
-            right_ok, detail = False, f"psi={component}"
-    results.append(_result(suite, "momentum-after-inverse-is-identity", left_ok, detail))
-    results.append(_result(suite, "inverse-after-momentum-drops-constant", right_ok, detail))
-    results.append(_result(suite, "inverse-output-polarized", polarized_ok, detail))
-    return results
+        rec.case("inverse-after-momentum-drops-constant", back + constant == psi,
+                 lambda: f"psi={component}")
+    return rec.results()
 
 
 def check_adjoint(seed: int = 0, max_degree: int = 4) -> list[CheckResult]:
-    suite = "adjoint"
+    rec = _Recorder("adjoint", "weyl-operators-symmetric", "normal-pq-asymmetric",
+                    "antinormal-position-form-via-adjoint")
     sampler = Sampler(seed)
     chart = Chart.real(1)
     rep = Representation.position(chart)
     p, q = chart.var("p1"), chart.var("q1")
-    results = []
-    weyl_ok, detail = True, ""
-    for a in range(max_degree + 1):
-        for b in range(max_degree + 1 - a):
-            op = extract_operator(StarKind.MOYAL, p ** a * q ** b, rep)
-            if op.adjoint() != op:
-                weyl_ok, detail = False, f"F=p^{a}q^{b}"
-    results.append(_result(suite, "weyl-operators-symmetric", weyl_ok, detail))
+    for a, b, F in _degree_grid(p, q, max_degree):
+        op = extract_operator(StarKind.MOYAL, F, rep)
+        rec.case("weyl-operators-symmetric", op.adjoint() == op, lambda: f"F=p^{a}q^{b}")
 
     normal_pq = extract_operator(StarKind.NORMAL, p * q, rep)
-    results.append(_result(
-        suite, "normal-pq-asymmetric", normal_pq.adjoint() != normal_pq,
-        "normal-ordered pq unexpectedly symmetric",
-    ))
+    rec.landmark("normal-pq-asymmetric", normal_pq.adjoint() != normal_pq,
+                 "normal-ordered pq unexpectedly symmetric")
 
     # the momentum-representation operator of sum A_n(q) p^n, carried to the
     # position representation, is sum (hbar/i)^n (d/dq)^n (A_n .): exactly
     # the formal adjoint of the normal-ordered operator for real A_n
-    intertwine_ok, detail = True, ""
     for _ in range(40):
         degrees = sampler.rng.sample(range(4), k=sampler.rng.randint(1, 3))
         F = chart.zero()
@@ -596,16 +566,15 @@ def check_adjoint(seed: int = 0, max_degree: int = 4) -> list[CheckResult]:
             derivative = DiffOperator(rep, {(n,): chart.one()})
             multiply = DiffOperator(rep, {(0,): A})
             translated = translated + derivative.compose(multiply) * (HBAR_OVER_I ** n)
-        if extract_operator(StarKind.NORMAL, F, rep).adjoint() != translated:
-            intertwine_ok, detail = False, f"F={F}"
-    results.append(_result(suite, "antinormal-position-form-via-adjoint", intertwine_ok, detail))
-    return results
+        rec.case("antinormal-position-form-via-adjoint",
+                 extract_operator(StarKind.NORMAL, F, rep).adjoint() == translated,
+                 lambda: f"F={F}")
+    return rec.results()
 
 
 def check_nq(seed: int = 0, cases: int = 60, max_degree: int = 5) -> list[CheckResult]:
-    suite = "nq"
+    rec = _Recorder("nq", "normal-ordering-formula")
     sampler = Sampler(seed)
-    ok, detail = True, ""
     for index in range(cases):
         n = (1, 1, 2, 3)[index % 4]
         chart = Chart.real(n)
@@ -613,9 +582,7 @@ def check_nq(seed: int = 0, cases: int = 60, max_degree: int = 5) -> list[CheckR
         F = chart.zero()
         expected_body = chart.zero()
         for _ in range(sampler.rng.randint(1, 3)):
-            alpha = tuple(sampler.rng.randint(0, max_degree) for _ in range(n))
-            while sum(alpha) > max_degree:
-                alpha = tuple(sampler.rng.randint(0, max_degree) for _ in range(n))
+            alpha = sampler.multi_index(n, max_degree)
             A = sampler.polynomial(chart, chart.position_vars, 5 if n == 1 else 3)
             term = A
             for pv, a in zip(chart.momentum_vars, alpha):
@@ -627,16 +594,14 @@ def check_nq(seed: int = 0, cases: int = 60, max_degree: int = 5) -> list[CheckR
             chart, expected_body.terms, theta_weight=1, jet_vars=jets,
         )
         got = quantize(StarKind.NORMAL, F, position_wave(chart))
-        if got != expected:
-            ok, detail = False, f"n={n}, F={F}"
+        if not rec.case("normal-ordering-formula", got == expected, lambda: f"n={n}, F={F}"):
             break
-    return [_result(suite, "normal-ordering-formula", ok, detail)]
+    return rec.results()
 
 
 def check_anq(seed: int = 0, cases: int = 60, max_degree: int = 5) -> list[CheckResult]:
-    suite = "anq"
+    rec = _Recorder("anq", "antinormal-ordering-formula")
     sampler = Sampler(seed)
-    ok, detail = True, ""
     for index in range(cases):
         n = (1, 1, 2)[index % 3]
         chart = Chart.real(n)
@@ -644,9 +609,7 @@ def check_anq(seed: int = 0, cases: int = 60, max_degree: int = 5) -> list[Check
         F = chart.zero()
         expected_component = chart.zero()
         for _ in range(sampler.rng.randint(1, 3)):
-            alpha = tuple(sampler.rng.randint(0, max_degree) for _ in range(n))
-            while sum(alpha) > max_degree:
-                alpha = tuple(sampler.rng.randint(0, max_degree) for _ in range(n))
+            alpha = sampler.multi_index(n, max_degree)
             B = sampler.polynomial(chart, chart.momentum_vars, 4)
             term = B
             for qv, a in zip(chart.position_vars, alpha):
@@ -658,16 +621,14 @@ def check_anq(seed: int = 0, cases: int = 60, max_degree: int = 5) -> list[Check
                 * (HBAR_OVER_I ** sum(alpha)) * sign
         expected = momentum_wave(chart, expected_component)
         got = quantize(StarKind.ANTINORMAL, F, momentum_wave(chart))
-        if got != expected:
-            ok, detail = False, f"n={n}, F={F}"
+        if not rec.case("antinormal-ordering-formula", got == expected, lambda: f"n={n}, F={F}"):
             break
-    return [_result(suite, "antinormal-ordering-formula", ok, detail)]
+    return rec.results()
 
 
 def check_roundtrip(seed: int = 0, cases: int = 500) -> list[CheckResult]:
-    suite = "roundtrip"
+    rec = _Recorder("roundtrip", "parse-format-roundtrip")
     sampler = Sampler(seed)
-    ok, detail = True, ""
     for index in range(cases):
         if index % 3 == 2:
             chart = Chart.bargmann()
@@ -678,10 +639,9 @@ def check_roundtrip(seed: int = 0, cases: int = 500) -> list[CheckResult]:
         f = sampler.equivariant(chart, 4, jet_vars=jet_vars if index % 2 else None)
         text = format_function(f)
         back = lower_expression(text, chart, jet_vars=jet_vars)
-        if back != f:
-            ok, detail = False, f"text={text!r}"
+        if not rec.case("parse-format-roundtrip", back == f, lambda: f"text={text!r}"):
             break
-    return [_result(suite, "parse-format-roundtrip", ok, detail)]
+    return rec.results()
 
 
 SUITES = {

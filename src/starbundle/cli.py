@@ -34,6 +34,9 @@ EXIT_POLARIZATION = 5
 # Largest --dim: driver construction and the series grow with it, and
 # every subcommand stays well under a second at this size.
 MAX_DIM = 64
+# Largest --max-degree: the largest suite default.  Case sizes grow fast
+# with it: `check --suite module` takes about 14 s at 6 and 30 s at 7.
+MAX_DEGREE = 6
 
 
 @dataclass
@@ -51,6 +54,8 @@ class RunConfig:
             raise ConfigError("--dim must be at least 1")
         if self.dim > MAX_DIM:
             raise ConfigError(f"--dim must be at most {MAX_DIM}")
+        if self.max_degree is not None and not 0 <= self.max_degree <= MAX_DEGREE:
+            raise ConfigError(f"--max-degree must be between 0 and {MAX_DEGREE}")
         if self.chart_kind == "bargmann":
             if self.dim != 1:
                 raise ConfigError("the bargmann chart is one-dimensional")

@@ -21,22 +21,23 @@ def chart_id(chart) -> str:
     return "bargmann" if chart.kind == "bargmann" else f"real{chart.n}"
 
 
+def _term_entries(mono, coeff, **rest) -> list[dict]:
+    """One JSON term per hbar power of ``coeff``, followed by the ``rest`` entries."""
+    monomial = dict(mono.vars)
+    return [
+        {"re": _rational_str(re), "im": _rational_str(im), "hbar": k,
+         "monomial": monomial, **rest}
+        for k, re, im in coeff.parts()
+    ]
+
+
 def function_to_document(f: EquivariantFunction) -> dict:
     terms = []
     weight_factor = f.weight_factor.name if f.weight_factor else None
     for mono, coeff in f.sorted_terms():
-        monomial = dict(mono.vars)
         jet = {"psi": [[list(alpha), e] for alpha, e in mono.jets]} if mono.jets else {}
-        for k, re, im in coeff.parts():
-            terms.append({
-                "re": _rational_str(re),
-                "im": _rational_str(im),
-                "hbar": k,
-                "monomial": monomial,
-                "jet": jet,
-                "theta_weight": f.theta_weight,
-                "weight_factor": weight_factor,
-            })
+        terms += _term_entries(mono, coeff, jet=jet, theta_weight=f.theta_weight,
+                               weight_factor=weight_factor)
     return {"chart": chart_id(f.chart), "terms": terms}
 
 
@@ -44,15 +45,7 @@ def operator_to_document(op) -> dict:
     terms = []
     for alpha, poly in op.sorted_terms():
         for mono, coeff in poly.sorted_terms():
-            monomial = dict(mono.vars)
-            for k, re, im in coeff.parts():
-                terms.append({
-                    "re": _rational_str(re),
-                    "im": _rational_str(im),
-                    "hbar": k,
-                    "monomial": monomial,
-                    "derivative": list(alpha),
-                })
+            terms += _term_entries(mono, coeff, derivative=list(alpha))
     return {"chart": chart_id(op.rep.chart), "rep": op.rep.name, "terms": terms}
 
 

@@ -143,11 +143,6 @@ class Chart:
             raise ChartError("antiholomorphic polarization needs the bargmann chart")
         return Polarization("J", self, ("zb",))
 
-    def holomorphic_polarization(self) -> "Polarization":
-        if self.kind != "bargmann":
-            raise ChartError("holomorphic polarization needs the bargmann chart")
-        return Polarization("K", self, ("z",))
-
 
 def horizontal_lift(chart: Chart, field) -> Derivation:
     """Horizontal lift v - alpha(v) d/dtheta of a base vector field.

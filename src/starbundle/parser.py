@@ -25,8 +25,10 @@ produce -- ``len(a) * len(b)`` for ``a * b``, and ``comb(t + e - 1, e)``
 (the monomials of degree e in t terms) for a t-term base to the e-th
 power -- and refuses one whose bound exceeds ``MAX_TERMS``.  A run of
 digits, in a number or in a name, may be at most ``MAX_DIGITS`` long
-(the printable size of :mod:`starbundle.scalars`).  All four raise
-:class:`ParseError`.
+(the printable size of :mod:`starbundle.scalars`), and a power may not
+make any exponent -- of a variable, a jet, hbar or the angular weight
+-- reach ``10^MAX_DIGITS``, which nested powers such as ``(p1^N)^N``
+would.  All five raise :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .scalars import MAX_DIGITS, Coefficient, GaussianRational
 MAX_NESTING = 100
 MAX_EXPONENT = 64
 MAX_TERMS = 1000
+_EXPONENT_BOUND = 10 ** MAX_DIGITS
 _UNITS = (1, -1, GaussianRational(0, 1), GaussianRational(0, -1))
 
 
@@ -360,6 +363,10 @@ class LoweringContext:
                     f"exponent {node.exponent} exceeds {MAX_EXPONENT} on a base that is not "
                     "a single term with a unit scalar"
                 )
+            if _largest_exponent(base) * abs(node.exponent) >= _EXPONENT_BOUND:
+                raise ParseError(
+                    f"this power makes an exponent longer than MAX_DIGITS = {MAX_DIGITS} digits"
+                )
             if node.exponent >= 0:
                 if len(base.terms) > 1:
                     _check_terms(comb(len(base.terms) + node.exponent - 1, node.exponent),
@@ -404,6 +411,15 @@ def _is_unit_term(f: EquivariantFunction) -> bool:
     (coeff,) = f.terms.values()
     entries = coeff.items()
     return len(entries) == 1 and entries[0][1] in _UNITS
+
+
+def _largest_exponent(f: EquivariantFunction) -> int:
+    """The largest |exponent| of a variable, jet, hbar or the angular weight in f."""
+    exponents = [f.theta_weight]
+    for mono, coeff in f.terms.items():
+        exponents += [e for _, e in mono.vars + mono.jets]
+        exponents += [k for k, _ in coeff.items()]
+    return max(map(abs, exponents))
 
 
 def _invert_scalar(f: EquivariantFunction) -> Coefficient:

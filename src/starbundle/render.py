@@ -64,9 +64,20 @@ def _monomial_factors(mono: Monomial) -> list[str]:
     return factors
 
 
+def _join(rendered) -> str:
+    """Join ``(sign, factors)`` terms with signs; a term with no factors is
+    ``1``, and no terms at all is ``0``."""
+    parts = []
+    for index, (sign, factors) in enumerate(rendered):
+        text = "*".join(factors) or "1"
+        if index == 0:
+            parts.append(("-" if sign < 0 else "") + text)
+        else:
+            parts.append((" - " if sign < 0 else " + ") + text)
+    return "".join(parts) or "0"
+
+
 def format_function(f: EquivariantFunction) -> str:
-    if f.is_zero():
-        return "0"
     rendered = []
     for mono, coeff in f.sorted_terms():
         for k, re, im in coeff.parts():
@@ -76,16 +87,8 @@ def format_function(f: EquivariantFunction) -> str:
                 factors.append(f"e({f.theta_weight})")
             if f.weight_factor is not None:
                 factors.append(f.weight_factor.name)
-            if not factors:
-                factors = ["1"]
-            rendered.append((sign, "*".join(factors)))
-    parts = []
-    for index, (sign, text) in enumerate(rendered):
-        if index == 0:
-            parts.append(("-" if sign < 0 else "") + text)
-        else:
-            parts.append((" - " if sign < 0 else " + ") + text)
-    return "".join(parts)
+            rendered.append((sign, factors))
+    return _join(rendered)
 
 
 def _derivative_factors(config_vars, alpha) -> list[str]:
@@ -99,8 +102,6 @@ def _derivative_factors(config_vars, alpha) -> list[str]:
 
 
 def format_operator(op) -> str:
-    if op.is_zero():
-        return "0"
     rendered = []
     for alpha, poly in op.sorted_terms():
         derivative = _derivative_factors(op.rep.config_vars, alpha)
@@ -109,13 +110,5 @@ def format_operator(op) -> str:
                 sign, factors = _scalar_factors(re, im, k)
                 factors.extend(_monomial_factors(mono))
                 factors.extend(derivative)
-                if not factors:
-                    factors = ["1"]
-                rendered.append((sign, "*".join(factors)))
-    parts = []
-    for index, (sign, text) in enumerate(rendered):
-        if index == 0:
-            parts.append(("-" if sign < 0 else "") + text)
-        else:
-            parts.append((" - " if sign < 0 else " + ") + text)
-    return "".join(parts)
+                rendered.append((sign, factors))
+    return _join(rendered)

@@ -11,7 +11,7 @@ import pytest
 
 from starbundle import Chart, EquivariantFunction
 from starbundle.checks import CheckResult
-from starbundle.cli import main
+from starbundle.cli import MAX_DEGREE, main
 from starbundle.emit import emit_json
 from starbundle.scalars import HBAR_OVER_I
 
@@ -157,6 +157,20 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "p1*q1 + (1/2)*(hbar/i)"
 
+    @pytest.mark.parametrize("degree", [-1, MAX_DEGREE + 1])
+    def test_max_degree_limit(self, degree):
+        start = time.monotonic()
+        proc = run_dq_process(["check", "--suite", "agarwal,nq", "--max-degree", str(degree)],
+                              timeout=20)
+        assert time.monotonic() - start < 5
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert f"between 0 and {MAX_DEGREE}" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_max_degree_at_the_limit_runs(self):
+        code, out, _ = run_cli(["check", "--suite", "agarwal", "--max-degree", str(MAX_DEGREE)])
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "all 3 properties passed"
+
     def test_huge_powers_of_unit_terms_still_work(self):
         code, out, _ = run_cli(["star", "--dim", "1", "p1^99999999999", "q1"])
         assert code == 0
@@ -174,6 +188,11 @@ class TestCommands:
         (["star", "--dim", "1", "p1" + "1" * 5000, "q1"], 2, "MAX_DIGITS = 4000"),
         (["star", "--dim", "1", "psi(" + "1" * 5000 + ")", "q1"], 2, "MAX_DIGITS = 4000"),
         (["star", "--dim", "1", "e(" + "1" * 5000 + ")", "q1"], 2, "MAX_DIGITS = 4000"),
+        (["star", "--dim", "1", f"(p1^{'9' * 4000})^{'9' * 4000}", "q1"], 2, "MAX_DIGITS = 4000"),
+        (["star", "--dim", "1", f"(hbar^{'9' * 4000})^{'9' * 4000}", "q1"], 2,
+         "MAX_DIGITS = 4000"),
+        (["bullet", "--dim", "1", "1", f"psi(0)*(e(1)^{'9' * 4000})^{'9' * 4000}"], 2,
+         "MAX_DIGITS = 4000"),
     ])
     def test_oversized_numbers_are_refused_quickly(self, argv, exit_code, message):
         start = time.monotonic()
