@@ -11,7 +11,6 @@ no tolerances anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Derivation, EquivariantFunction, Monomial
@@ -45,12 +44,24 @@ from .render import format_function
 from .scalars import Coefficient, GaussianRational, HBAR_OVER_I, I_OVER_HBAR
 
 
-@dataclass
 class CheckResult:
-    suite: str
-    name: str
-    ok: bool
-    detail: str = ""
+    """The outcome of one property of one suite."""
+
+    def __init__(self, suite: str, name: str, ok: bool, detail: str = ""):
+        self.suite = suite
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.name, self.ok, self.detail) == (
+            other.suite, other.name, other.ok, other.detail)
+
+    def __repr__(self) -> str:
+        return (f"CheckResult(suite={self.suite!r}, name={self.name!r}, ok={self.ok!r}, "
+                f"detail={self.detail!r})")
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -662,7 +673,9 @@ SUITES = {
 
 
 def run_suites(names, seed: int = 0, max_degree: int | None = None) -> list[CheckResult]:
-    import inspect
+    if max_degree is not None:
+        # signature() follows __wrapped__, so a wrapped suite keeps its knobs.
+        import inspect
 
     if "all" in names:
         names = list(SUITES)

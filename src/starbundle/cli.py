@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
-from . import checks
 from .algebra import EquivariantFunction
 from .emit import emit_json, to_json
 from .errors import (
@@ -39,15 +37,20 @@ MAX_DIM = 64
 MAX_DEGREE = 6
 
 
-@dataclass
 class RunConfig:
-    dim: int = 1
-    chart_kind: str = "real"
-    product: str = "normal"
-    rep: str | None = None
-    fmt: str = "text"
-    seed: int = 0
-    max_degree: int | None = None
+    """The flags of one subcommand.  A flag the subcommand does not take
+    keeps its default here, which ``validate`` never refuses."""
+
+    def __init__(self, dim: int = 1, chart_kind: str = "real", product: str | None = None,
+                 rep: str | None = None, fmt: str = "text", seed: int = 0,
+                 max_degree: int | None = None):
+        self.dim = dim
+        self.chart_kind = chart_kind
+        self.product = product
+        self.rep = rep
+        self.fmt = fmt
+        self.seed = seed
+        self.max_degree = max_degree
 
     def validate(self) -> None:
         if self.dim < 1:
@@ -86,15 +89,7 @@ class RunConfig:
 
 
 def _config_from_args(args) -> RunConfig:
-    config = RunConfig(
-        dim=args.dim,
-        chart_kind=args.chart,
-        product=args.product,
-        rep=args.rep,
-        fmt=args.format,
-        seed=args.seed,
-        max_degree=args.max_degree,
-    )
+    config = RunConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FLAGS})
     config.validate()
     return config
 
@@ -172,6 +167,8 @@ def cmd_extract(args) -> tuple[int, str]:
 
 
 def cmd_check(args) -> tuple[int, str]:
+    from . import checks  # the suites load only for this command
+
     config = _config_from_args(args)
     names = [s.strip() for s in args.suite.split(",")] if args.suite else ["all"]
     try:
@@ -199,6 +196,38 @@ def cmd_check(args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines)
 
 
+# The argparse settings of every flag, by name; the dest of each flag
+# that configures a run is a keyword of RunConfig.
+_FLAGS = {
+    "dim": dict(type=int, default=1, help="number of canonical pairs"),
+    "chart": dict(choices=("real", "bargmann"), default="real", dest="chart_kind"),
+    "product": dict(choices=("normal", "antinormal", "moyal", "wick"), default="normal"),
+    "rep": dict(choices=("position", "momentum", "bargmann"), default=None),
+    "format": dict(choices=("text", "json"), default="text", dest="fmt"),
+    "seed": dict(type=int, default=0),
+    "max-degree": dict(type=int, default=None),
+    "psi": dict(default="generic", help="wave-function component: 'generic' or an expression"),
+    "suite": dict(default="all", help="comma-separated suite names, or 'all'"),
+}
+_CONFIG_FLAGS = ("dim", "chart_kind", "product", "rep", "fmt", "seed", "max_degree")
+
+# Each subcommand: its function, its help, its number of EXPR arguments and
+# the flags it reads besides --format.  A flag it does not read is a usage error.
+_COMMANDS = {
+    "star": (cmd_star, "star product of two observables", 2, ("dim", "chart", "product")),
+    "bullet": (cmd_bullet, "bullet product observable * function", 2,
+               ("dim", "chart", "product", "rep")),
+    "quantize": (cmd_quantize, "quantum operator applied to a wave", 1,
+                 ("dim", "chart", "product", "rep", "psi")),
+    "prequantize": (cmd_prequantize, "prequantum operator applied to a wave", 1,
+                    ("dim", "chart", "psi")),
+    "bracket": (cmd_bracket, "bundle bracket of two functions", 2, ("dim", "chart")),
+    "extract": (cmd_extract, "extract a differential operator", 1,
+                ("dim", "chart", "product", "rep")),
+    "check": (cmd_check, "run seeded property-check suites", 0, ("suite", "seed", "max-degree")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dq",
@@ -206,52 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "on prequantized flat phase spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, positionals=0, psi=False, suite=False):
-        p.add_argument("--dim", type=int, default=1, help="number of canonical pairs")
-        p.add_argument("--chart", choices=("real", "bargmann"), default="real")
-        p.add_argument("--product", choices=("normal", "antinormal", "moyal", "wick"),
-                       default="normal")
-        p.add_argument("--rep", choices=("position", "momentum", "bargmann"), default=None)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-degree", type=int, default=None)
-        if psi:
-            p.add_argument("--psi", default="generic",
-                           help="wave-function component: 'generic' or an expression")
-        if suite:
-            p.add_argument("--suite", default="all",
-                           help="comma-separated suite names, or 'all'")
-        if positionals:
-            p.add_argument("exprs", nargs=positionals, metavar="EXPR")
-
-    add_common(sub.add_parser("star", help="star product of two observables"), 2)
-    add_common(sub.add_parser("bullet", help="bullet product observable * function"), 2)
-    add_common(sub.add_parser("quantize", help="quantum operator applied to a wave"), 1, psi=True)
-    add_common(sub.add_parser("prequantize", help="prequantum operator applied to a wave"),
-               1, psi=True)
-    add_common(sub.add_parser("bracket", help="bundle bracket of two functions"), 2)
-    add_common(sub.add_parser("extract", help="extract a differential operator"), 1)
-    add_common(sub.add_parser("check", help="run seeded property-check suites"), 0, suite=True)
+    for name, (_, help_text, exprs, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags, "format"):
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        if exprs:
+            p.add_argument("exprs", nargs=exprs, metavar="EXPR")
     return parser
-
-
-_COMMANDS = {
-    "star": cmd_star,
-    "bullet": cmd_bullet,
-    "quantize": cmd_quantize,
-    "prequantize": cmd_prequantize,
-    "bracket": cmd_bracket,
-    "extract": cmd_extract,
-    "check": cmd_check,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, output = _COMMANDS[args.command](args)
+        code, output = _COMMANDS[args.command][0](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

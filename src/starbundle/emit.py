@@ -7,8 +7,6 @@ a given value always emits the same bytes.
 
 from __future__ import annotations
 
-import json
-
 from .algebra import EquivariantFunction
 
 
@@ -50,6 +48,8 @@ def operator_to_document(op) -> dict:
 
 
 def to_json(document: dict) -> str:
+    import json  # here, not at the top: text output never needs it
+
     return json.dumps(document, separators=(",", ":"))
 
 

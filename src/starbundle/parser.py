@@ -34,7 +34,7 @@ would.  All five raise :class:`ParseError`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -51,77 +51,26 @@ _UNITS = (1, -1, GaussianRational(0, 1), GaussianRational(0, -1))
 
 
 # -- AST -----------------------------------------------------------------
+#
+# Immutable nodes, built by the parser and dispatched on with isinstance.
 
-
-@dataclass(frozen=True)
-class Rational:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class ImagUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class HbarSymbol:
-    over_i: bool = False
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-
-
-@dataclass(frozen=True)
-class JetSymbol:
-    orders: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AngularPhase:
-    weight: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+Rational = namedtuple("Rational", "value")  # a Fraction
+ImagUnit = namedtuple("ImagUnit", ())
+HbarSymbol = namedtuple("HbarSymbol", "over_i", defaults=(False,))
+Variable = namedtuple("Variable", "name")
+JetSymbol = namedtuple("JetSymbol", "orders")  # one derivative order per jet variable
+AngularPhase = namedtuple("AngularPhase", "weight")
+Neg = namedtuple("Neg", "operand")
+Add = namedtuple("Add", "left right")
+Sub = namedtuple("Sub", "left right")
+Mul = namedtuple("Mul", "left right")
+Pow = namedtuple("Pow", "base exponent")
 
 
 # -- tokenizer -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "uint" | "name" | "sym" | "end"
-    text: str
-    column: int
-
-
+Token = namedtuple("Token", "kind text column")  # kind: "uint" | "name" | "sym" | "end"
 _SYMBOLS = set("+-*^(),/")
 _LONG_DIGIT_RUN = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
 

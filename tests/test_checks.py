@@ -37,6 +37,20 @@ def test_a_failing_property_keeps_its_own_first_counterexample(monkeypatch):
         assert named[name].ok and named[name].detail == ""
 
 
+def test_check_result_fields_defaults_line_and_equality():
+    failing = checks.CheckResult("s", "n", False, "d")
+    passing = checks.CheckResult("s", "n", True)
+    assert (failing.suite, failing.name, failing.ok, failing.detail) == ("s", "n", False, "d")
+    assert (passing.suite, passing.name, passing.ok, passing.detail) == ("s", "n", True, "")
+    assert failing.line() == "FAIL s.n  [d]"
+    assert passing.line() == "PASS s.n"
+    assert checks.CheckResult("s", "n", True, "d").line() == "PASS s.n"
+    assert failing == checks.CheckResult("s", "n", False, "d")
+    assert passing == checks.CheckResult(suite="s", name="n", ok=True, detail="")
+    assert failing != checks.CheckResult("s", "n", False, "e")
+    assert failing != passing and failing != ("s", "n", False, "d")
+
+
 def test_lift_commutator_failures_name_their_indices(monkeypatch):
     monkeypatch.setattr(Derivation, "commutator", lambda self, other: self)
     named = by_name(checks.check_lifts(seed=0, cases=3, jmax=1))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from starbundle import Chart, EquivariantFunction
+from starbundle import Chart, EquivariantFunction, format_function, souriau_bracket
 from starbundle.checks import CheckResult
 from starbundle.cli import MAX_DEGREE, main
 from starbundle.emit import emit_json
@@ -51,13 +51,18 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_dq_process(argv, timeout):
-    """Run dq in a fresh interpreter, killed after ``timeout`` seconds."""
+def run_python(argv, timeout):
+    """Run a fresh interpreter on ``src``, killed after ``timeout`` seconds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "starbundle.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def run_dq_process(argv, timeout):
+    """Run dq in a fresh interpreter, killed after ``timeout`` seconds."""
+    return run_python(["-m", "starbundle.cli", *argv], timeout)
 
 
 class TestCommands:
@@ -98,6 +103,27 @@ class TestCommands:
         code, out, _ = run_cli(["bracket", "p1", "q1"])
         assert code == 0
         assert out.strip() == "1"
+
+    def test_bracket_on_the_complex_chart(self):
+        code, out, err = run_cli(["bracket", "--chart", "bargmann", "z", "zb"])
+        chart = Chart.bargmann()
+        assert code == 0 and err == ""
+        assert out.strip() == format_function(
+            souriau_bracket(chart, chart.var("z"), chart.var("zb")))
+
+    def test_prequantize_refuses_the_complex_chart(self):
+        code, out, err = run_cli(["prequantize", "--chart", "bargmann", "z"])
+        assert code == 3 and out == ""
+        assert "prequantize is defined on real charts" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["star", "--max-degree", "9", "p1", "q1"],
+        ["check", "--dim", "65"],
+    ])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, argv):
+        proc = run_dq_process(argv, timeout=20)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "unrecognized arguments" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_parse_error_exit_code(self):
         code, _, err = run_cli(["star", "p1", "q1 +"])
@@ -248,6 +274,23 @@ class TestCommands:
         first = run_cli(["check", "--suite", "adjoint,inversep", "--seed", "11"])
         second = run_cli(["check", "--suite", "adjoint,inversep", "--seed", "11"])
         assert first == second
+
+
+class TestStartup:
+    def test_import_loads_no_check_suites_json_or_dataclasses(self):
+        probe = ("import sys; before = set(sys.modules); import starbundle.cli; "
+                 "print(' '.join(sorted(set(sys.modules) - before)))")
+        proc = run_python(["-c", probe], timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert "starbundle.cli" in added
+        assert not added & {"starbundle.checks", "dataclasses", "inspect", "json"}
+
+    def test_check_still_loads_its_suites(self):
+        proc = run_dq_process(["check", "--suite", "inversep", "--seed", "1",
+                               "--format", "json"], timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert '"passed":true' in proc.stdout
 
 
 class TestJsonEmission:
