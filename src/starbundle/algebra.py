@@ -27,6 +27,19 @@ THETA = "theta"
 JetIndex = tuple[int, ...]
 
 
+class Frozen:
+    """Base of the immutable values: assigning or deleting an attribute
+    raises.  Constructors set their slots with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def variable_key(name: str) -> tuple[int, int]:
     """Global sort key: momentum-like first, then position-like, theta last."""
     if name == "z":
@@ -41,7 +54,7 @@ def variable_key(name: str) -> tuple[int, int]:
     raise ChartError(f"unknown variable name {name!r}")
 
 
-class Monomial:
+class Monomial(Frozen):
     """A product of chart-variable powers and jet-variable powers.
 
     ``vars`` is a tuple of (name, exponent) with positive exponents,
@@ -68,9 +81,6 @@ class Monomial:
             if e < 0:
                 raise ChartError("negative jet exponent in monomial")
         object.__setattr__(self, "_hash", hash((self.vars, self.jets)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
 
     @staticmethod
     def unit() -> "Monomial":
@@ -118,22 +128,25 @@ class Monomial:
 _MONOMIAL_UNIT = Monomial()
 
 
-class WeightFactor:
+class WeightFactor(Frozen):
     """A non-polynomial multiplicative factor known through d(log W).
 
     The factor itself (for instance a Gaussian) is never expanded; all
     operations only consume the table of logarithmic derivatives, one
-    polynomial per chart variable.  The table must be total over the
-    chart variables and closed (mixed second log-derivatives agree),
-    which :meth:`check_closed` verifies symbolically.
+    polynomial per chart variable, held in a read-only mapping.  The
+    table must be total over the chart variables and closed (mixed
+    second log-derivatives agree), which :meth:`check_closed` verifies
+    symbolically.
     """
 
+    __slots__ = ("name", "log_derivatives")
+
     def __init__(self, name: str, log_derivatives: dict[str, "EquivariantFunction"]):
-        self.name = name
-        self.log_derivatives = dict(log_derivatives)
-        for poly in self.log_derivatives.values():
+        for poly in log_derivatives.values():
             if poly.jet_vars or poly.theta_weight or poly.weight_factor is not None:
                 raise WeightFactorError("log-derivative entries must be plain polynomials")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "log_derivatives", MappingProxyType(dict(log_derivatives)))
 
     def log_derivative(self, var: str) -> "EquivariantFunction":
         try:
@@ -189,17 +202,17 @@ def _merge_weight_factors(a, b, product: bool):
     raise WeightFactorError(f"cannot add functions with weight factors {left!r} and {right!r}")
 
 
-class EquivariantFunction:
+class EquivariantFunction(Frozen):
     """A function on the bundle: polynomial x e^{i*m*theta} x optional factor W.
 
-    Immutable by convention.  ``terms`` maps :class:`Monomial` to a
-    nonzero :class:`Coefficient`; the zero function has no terms and
-    normalized attributes (weight 0, no jets, no factor).
+    Immutable.  ``terms`` is a read-only mapping from :class:`Monomial`
+    to a nonzero :class:`Coefficient`; the zero function has no terms
+    and normalized attributes (weight 0, no jets, no factor).
     """
 
-    __slots__ = ("chart", "terms", "theta_weight", "jet_vars", "weight_factor")
+    __slots__ = ("chart", "_terms", "theta_weight", "jet_vars", "weight_factor")
 
-    def __init__(self, chart, terms, theta_weight: int = 0, jet_vars=(), weight_factor=None):
+    def __new__(cls, chart, terms, theta_weight: int = 0, jet_vars=(), weight_factor=None):
         clean = {}
         for mono, coeff in terms.items():
             coeff = Coefficient.coerce(coeff)
@@ -219,36 +232,22 @@ class EquivariantFunction:
             for v, _ in mono.vars:
                 if v != THETA and v not in chart.variables:
                     raise ChartError(f"variable {v!r} does not belong to chart {chart}")
-        self.chart = chart
-        self.terms = clean
-        self.theta_weight = int(theta_weight)
-        self.jet_vars = jet_vars
-        self.weight_factor = weight_factor
+        return _make(chart, clean, int(theta_weight), jet_vars, weight_factor)
+
+    @property
+    def terms(self):
+        return MappingProxyType(self._terms)
 
     # -- constructors ------------------------------------------------
 
-    @classmethod
-    def _make(cls, chart, terms, theta_weight, jet_vars, weight_factor):
-        # trusted fast constructor: terms already canonical (no zero values)
-        out = object.__new__(cls)
-        if not terms:
-            theta_weight, jet_vars, weight_factor = 0, (), None
-        elif jet_vars and not any(mono.jets for mono in terms):
-            jet_vars = ()
-        out.chart = chart
-        out.terms = terms
-        out.theta_weight = theta_weight
-        out.jet_vars = jet_vars
-        out.weight_factor = weight_factor
-        return out
-
     @staticmethod
     def zero(chart) -> "EquivariantFunction":
-        return EquivariantFunction(chart, {})
+        return _make(chart, {}, 0, (), None)
 
     @staticmethod
     def constant(chart, value) -> "EquivariantFunction":
-        return EquivariantFunction(chart, {Monomial.unit(): Coefficient.coerce(value)})
+        value = Coefficient.coerce(value)
+        return _make(chart, {_MONOMIAL_UNIT: value} if value else {}, 0, (), None)
 
     @staticmethod
     def one(chart) -> "EquivariantFunction":
@@ -275,30 +274,30 @@ class EquivariantFunction:
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_observable(self) -> bool:
         """theta-independent, jet-free, factor-free function of the base."""
         if self.theta_weight or self.jet_vars or self.weight_factor is not None:
             return False
-        return all(THETA not in dict(m.vars) for m in self.terms)
+        return all(THETA not in dict(m.vars) for m in self._terms)
 
     def constant_value(self) -> Coefficient:
         """The scalar value, if the function is a constant; raises otherwise."""
         if self.is_zero():
             return Coefficient.zero()
-        if list(self.terms) == [Monomial.unit()] and not self.theta_weight \
+        if list(self._terms) == [Monomial.unit()] and not self.theta_weight \
                 and self.weight_factor is None:
-            return self.terms[Monomial.unit()]
+            return self._terms[Monomial.unit()]
         raise ChartError("function is not a constant")
 
     def chart_degree(self) -> int:
-        return max((m.chart_degree() for m in self.terms), default=0)
+        return max((m.chart_degree() for m in self._terms), default=0)
 
     # -- ring operations ---------------------------------------------
 
     def _compatible_chart(self, other: "EquivariantFunction"):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartError(f"chart mismatch: {self.chart} vs {other.chart}")
 
     def __add__(self, other):
@@ -315,18 +314,18 @@ class EquivariantFunction:
             )
         jet_vars = _merge_jet_vars(self.jet_vars, other.jet_vars)
         factor = _merge_weight_factors(self.weight_factor, other.weight_factor, product=False)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
+        terms = dict(self._terms)
+        for mono, coeff in other._terms.items():
             s = terms.get(mono, _C_ZERO) + coeff
             if s:
                 terms[mono] = s
             else:
                 terms.pop(mono, None)
-        return EquivariantFunction._make(self.chart, terms, self.theta_weight, jet_vars, factor)
+        return _make(self.chart, terms, self.theta_weight, jet_vars, factor)
 
     def __neg__(self):
-        return EquivariantFunction._make(
-            self.chart, {m: -c for m, c in self.terms.items()},
+        return _make(
+            self.chart, {m: -c for m, c in self._terms.items()},
             self.theta_weight, self.jet_vars, self.weight_factor,
         )
 
@@ -340,27 +339,38 @@ class EquivariantFunction:
             scale = Coefficient.coerce(other)
             if not scale:
                 return EquivariantFunction.zero(self.chart)
-            return EquivariantFunction._make(
-                self.chart, {m: c * scale for m, c in self.terms.items()},
+            return _make(
+                self.chart, {m: c * scale for m, c in self._terms.items()},
                 self.theta_weight, self.jet_vars, self.weight_factor,
             )
         if not isinstance(other, EquivariantFunction):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self._terms, other._terms
+        if not a or not b:
             return EquivariantFunction.zero(self.chart)
         self._compatible_chart(other)
         jet_vars = _merge_jet_vars(self.jet_vars, other.jet_vars)
         factor = _merge_weight_factors(self.weight_factor, other.weight_factor, product=True)
-        terms: dict[Monomial, Coefficient] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1.mul(m2)
-                s = terms.get(mono, _C_ZERO) + c1 * c2
-                if s:
-                    terms[mono] = s
-                else:
-                    terms.pop(mono, None)
-        return EquivariantFunction._make(
+        # A factor with the single term c * 1 scales the other one's
+        # coefficients; nonzero scalars have nonzero products, so no term
+        # vanishes.
+        if len(b) == 1 and _MONOMIAL_UNIT in b:
+            c = b[_MONOMIAL_UNIT]
+            terms = {m: v * c for m, v in a.items()}
+        elif len(a) == 1 and _MONOMIAL_UNIT in a:
+            c = a[_MONOMIAL_UNIT]
+            terms = {m: c * v for m, v in b.items()}
+        else:
+            terms = {}
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
+                    mono = m1.mul(m2)
+                    s = terms.get(mono, _C_ZERO) + c1 * c2
+                    if s:
+                        terms[mono] = s
+                    else:
+                        terms.pop(mono, None)
+        return _make(
             self.chart, terms, self.theta_weight + other.theta_weight, jet_vars, factor,
         )
 
@@ -395,7 +405,7 @@ class EquivariantFunction:
             else:
                 terms.pop(mono, None)
 
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self._terms.items():
             vs = mono.var_map()
             e = vs.get(var, 0)
             if e:
@@ -411,7 +421,7 @@ class EquivariantFunction:
                     new_js[alpha] = je - 1
                     new_js[tuple(shifted)] = new_js.get(tuple(shifted), 0) + 1
                     put(Monomial(vs.items(), new_js.items()), coeff.scaled(je))
-        return EquivariantFunction._make(
+        return _make(
             self.chart, terms, self.theta_weight, self.jet_vars, self.weight_factor,
         )
 
@@ -436,7 +446,7 @@ class EquivariantFunction:
         if self.jet_vars or self.weight_factor is not None:
             raise ChartError("substitution is only defined for jet-free, factor-free functions")
         out = EquivariantFunction.zero(self.chart)
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self._terms.items():
             piece = EquivariantFunction.constant(self.chart, coeff)
             for v, e in mono.vars:
                 repl = mapping.get(v)
@@ -446,7 +456,7 @@ class EquivariantFunction:
             out = out + piece
         if self.theta_weight:
             out = EquivariantFunction(
-                out.chart, out.terms, self.theta_weight, out.jet_vars, out.weight_factor,
+                out.chart, out._terms, self.theta_weight, out.jet_vars, out.weight_factor,
             )
         return out
 
@@ -460,13 +470,13 @@ class EquivariantFunction:
             and self.theta_weight == other.theta_weight
             and self.jet_vars == other.jet_vars
             and self.weight_factor == other.weight_factor
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     __hash__ = None
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
+        return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
 
     def __repr__(self):
         return f"<EquivariantFunction {self}>"
@@ -475,6 +485,31 @@ class EquivariantFunction:
         from .render import format_function
 
         return format_function(self)
+
+
+class _Unfrozen(EquivariantFunction):
+    # The same slots without the raising __setattr__: _make fills one in
+    # with plain stores, a quarter of the cost of object.__setattr__, and
+    # then makes it an EquivariantFunction by assigning __class__.
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+
+
+def _make(chart, terms, theta_weight, jet_vars, weight_factor) -> EquivariantFunction:
+    """Trusted constructor: ``terms`` is a new canonical dict (no zero
+    values) that the caller hands over."""
+    out = object.__new__(_Unfrozen)
+    if not terms:
+        theta_weight, jet_vars, weight_factor = 0, (), None
+    elif jet_vars and not any(mono.jets for mono in terms):
+        jet_vars = ()
+    out.chart = chart
+    out._terms = terms
+    out.theta_weight = theta_weight
+    out.jet_vars = jet_vars
+    out.weight_factor = weight_factor
+    out.__class__ = EquivariantFunction
+    return out
 
 
 def substitute_jets(f: EquivariantFunction, component: EquivariantFunction) -> EquivariantFunction:
@@ -506,13 +541,12 @@ def substitute_jets(f: EquivariantFunction, component: EquivariantFunction) -> E
     return total
 
 
-class Derivation:
+class Derivation(Frozen):
     """A first-order differential operator sum_v c_v d/dv over the chart
     variables and ``"theta"``.
 
     ``coeffs`` maps each variable with a nonzero coefficient to it, in a
-    read-only mapping; attribute assignment raises, so a derivation is
-    immutable.
+    read-only mapping.
     The coefficients are plain polynomials on the chart; the theta
     coefficient may carry negative hbar powers (horizontal lifts do).
     Acts on :class:`EquivariantFunction` via :meth:`__call__` and
@@ -531,9 +565,6 @@ class Derivation:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Derivation is immutable")
-
     @staticmethod
     def coordinate(chart, var: str, scale=1) -> "Derivation":
         return Derivation(chart, {var: EquivariantFunction.constant(chart, scale)})
@@ -542,12 +573,13 @@ class Derivation:
         return self.coeffs.get(var, EquivariantFunction.zero(self.chart))
 
     def __call__(self, f: EquivariantFunction) -> EquivariantFunction:
-        if f.chart != self.chart:
+        if f.chart is not self.chart and f.chart != self.chart:
             raise ChartError("derivation and function live on different charts")
-        out = EquivariantFunction.zero(self.chart)
+        out = None
         for v, poly in self.coeffs.items():
-            out = out + poly * f.differentiate(v)
-        return out
+            term = poly * f.differentiate(v)
+            out = term if out is None else out + term
+        return EquivariantFunction.zero(self.chart) if out is None else out
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.chart != other.chart:

@@ -10,9 +10,12 @@ implemented by :class:`AffineMap`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
-from .algebra import THETA, Derivation, EquivariantFunction, WeightFactor
+from .algebra import THETA, Derivation, EquivariantFunction, Frozen, WeightFactor
 from .errors import ChartError, ObservableError
 from .scalars import C_ONE, Coefficient, GaussianRational
 
@@ -20,7 +23,7 @@ _ONE = GaussianRational(1)
 _NO_ALPHA = (None, Coefficient.zero())
 
 
-class Chart:
+class Chart(Frozen):
     """A canonical chart, either real bi-polarized or the complex plane.
 
     real kind:     variables p_1..p_n, q_1..q_n; bivector
@@ -32,27 +35,27 @@ class Chart:
     ``bracket_pairs`` holds pi as (c, u, v) with pi = sum c d/du ^ d/dv.
     The constructor is the one place that knows each kind's geometry;
     everything else is computed from the pairs and the connection.
+    Charts are equal when kind and dimension are, and equal charts share
+    one :func:`chart_cache` entry per structure built from them.
     """
 
+    __slots__ = ("kind", "n", "momentum_vars", "position_vars", "variables",
+                 "bracket_pairs", "_scale_of", "_alpha", "_hash")
+
     def __init__(self, kind: str, n: int):
-        self.kind = kind
-        self.n = n
         if kind == "real":
             if n < 1:
                 raise ChartError("real chart needs dimension n >= 1")
-            self.momentum_vars = tuple(f"p{i}" for i in range(1, n + 1))
-            self.position_vars = tuple(f"q{i}" for i in range(1, n + 1))
-            self.variables = self.momentum_vars + self.position_vars
-            pairs = [(_ONE, pv, qv) for pv, qv in zip(self.momentum_vars, self.position_vars)]
+            momentum_vars = tuple(f"p{i}" for i in range(1, n + 1))
+            position_vars = tuple(f"q{i}" for i in range(1, n + 1))
+            pairs = [(_ONE, pv, qv) for pv, qv in zip(momentum_vars, position_vars)]
             # alpha(d/dq^i) = p_i / hbar
             inverse_hbar = Coefficient.hbar(-1)
             alpha = {qv: (pv, inverse_hbar) for _, pv, qv in pairs}
         elif kind == "bargmann":
             if n != 1:
                 raise ChartError("the bargmann chart is one-dimensional")
-            self.momentum_vars = ("z",)
-            self.position_vars = ("zb",)
-            self.variables = ("z", "zb")
+            momentum_vars, position_vars = ("z",), ("zb",)
             pairs = [(GaussianRational(0, 2), "zb", "z")]
             # alpha(d/dz) = zb / (4 i hbar), alpha(d/dzb) = -z / (4 i hbar)
             alpha = {
@@ -61,11 +64,18 @@ class Chart:
             }
         else:
             raise ChartError(f"unknown chart kind {kind!r}")
-        self.bracket_pairs = tuple(pairs)
-        self._scale_of = {(u, v): c for c, u, v in pairs}
+        variables = momentum_vars + position_vars
         # alpha(d/dv) as (w, scale), meaning scale * w, or scale when w is None
-        self._alpha = {v: alpha.get(v, _NO_ALPHA) for v in self.variables}
-        self._alpha[THETA] = (None, C_ONE)
+        alpha = {v: alpha.get(v, _NO_ALPHA) for v in variables}
+        alpha[THETA] = (None, C_ONE)
+        for name, value in (
+            ("kind", kind), ("n", n), ("momentum_vars", momentum_vars),
+            ("position_vars", position_vars), ("variables", variables),
+            ("bracket_pairs", tuple(pairs)),
+            ("_scale_of", MappingProxyType({(u, v): c for c, u, v in pairs})),
+            ("_alpha", MappingProxyType(alpha)), ("_hash", hash((kind, n))),
+        ):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def real(n: int = 1) -> "Chart":
@@ -76,10 +86,11 @@ class Chart:
         return Chart("bargmann", 1)
 
     def __eq__(self, other):
-        return isinstance(other, Chart) and self.kind == other.kind and self.n == other.n
+        return self is other or (
+            isinstance(other, Chart) and self.kind == other.kind and self.n == other.n)
 
     def __hash__(self):
-        return hash((self.kind, self.n))
+        return self._hash
 
     def __repr__(self):
         return f"Chart({self.kind!r}, n={self.n})"
@@ -103,10 +114,9 @@ class Chart:
     def alpha_of(self, var: str) -> EquivariantFunction:
         """The connection evaluated on the coordinate field d/d<var>."""
         try:
-            w, scale = self._alpha[var]
+            return chart_cache(_connection, self).alpha[var]
         except KeyError:
             raise ChartError(f"unknown variable {var!r}") from None
-        return (self.one() if w is None else self.var(w)) * scale
 
     def omega_of(self, u: str, v: str) -> Coefficient:
         """The symplectic form on a pair of coordinate fields: 1/c on a
@@ -144,13 +154,51 @@ class Chart:
         return Polarization("J", self, ("zb",))
 
 
+# -- structure built once per chart ---------------------------------------
+
+# Entries the chart cache keeps; the least recently used goes first.
+CHART_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=CHART_CACHE_SIZE)
+def chart_cache(build, *key):
+    """``build(*key)`` for a key of a chart, or of a product kind and a
+    chart: the connection and lifted coordinate fields here, the product
+    drivers in :mod:`starbundle.products`.
+
+    What it returns depends only on the key and is immutable, so every
+    caller and every thread may share it.  Two threads that miss the
+    same key at once each build the value, and both get equal values.
+    ``chart_cache.cache_clear()`` empties it.
+    """
+    return build(*key)
+
+
+_Connection = namedtuple("_Connection", "alpha lifts")
+
+
+def _connection(chart: Chart) -> _Connection:
+    """alpha on each coordinate field, theta included, and the horizontal
+    lift of each chart coordinate field, in read-only mappings."""
+    alpha = {
+        v: (chart.one() if w is None else chart.var(w)) * scale
+        for v, (w, scale) in chart._alpha.items()
+    }
+    one = chart.one()
+    lifts = {v: Derivation(chart, {v: one, THETA: -alpha[v]}) for v in chart.variables}
+    return _Connection(MappingProxyType(alpha), MappingProxyType(lifts))
+
+
 def horizontal_lift(chart: Chart, field) -> Derivation:
     """Horizontal lift v - alpha(v) d/dtheta of a base vector field.
 
-    ``field`` is a coordinate name or a :class:`Derivation` with no
-    theta component.
+    ``field`` is a coordinate name, whose lift comes from the chart
+    cache, or a :class:`Derivation` with no theta component.
     """
     if isinstance(field, str):
+        lift = chart_cache(_connection, chart).lifts.get(field)
+        if lift is not None:
+            return lift
         field = chart.coordinate_field(field)
     if field.chart != chart:
         raise ChartError("field lives on a different chart")
@@ -162,8 +210,10 @@ def horizontal_lift(chart: Chart, field) -> Derivation:
     return Derivation(chart, {**field.coeffs, THETA: -alpha_value})
 
 
-class Polarization:
+class Polarization(Frozen):
     """A Lagrangian span of coordinate directions selecting wave functions."""
+
+    __slots__ = ("label", "chart", "directions")
 
     def __init__(self, label: str, chart: Chart, directions):
         directions = tuple(directions)
@@ -175,9 +225,9 @@ class Polarization:
             for v in directions:
                 if chart.omega_of(u, v):
                     raise ChartError(f"directions {u!r}, {v!r} are not omega-orthogonal")
-        self.label = label
-        self.chart = chart
-        self.directions = directions
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "directions", directions)
 
     def lifted_fields(self) -> list[Derivation]:
         return [horizontal_lift(self.chart, v) for v in self.directions]
@@ -361,7 +411,7 @@ def _invert_matrix(m):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-class AffineMap:
+class AffineMap(Frozen):
     """An overlap map p'_j = a_j^i p_i + b_j, q'^j = c^j_i q^i + d^j.
 
     The matrices must be contragredient (sum_j a_j^i c^j_k = delta^i_k)
@@ -370,22 +420,28 @@ class AffineMap:
     placement.  Non-contragredient input is rejected.
     """
 
+    __slots__ = ("chart", "a", "c", "b", "d")
+
     def __init__(self, chart: Chart, a, c, b=None, d=None):
         if chart.kind != "real":
             raise ChartError("affine chart changes are defined on real charts")
         n = chart.n
-        self.chart = chart
-        self.a = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in a)
-        self.c = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in c)
-        self.b = tuple(GaussianRational.coerce(x) for x in (b or [0] * n))
-        self.d = tuple(GaussianRational.coerce(x) for x in (d or [0] * n))
-        if len(self.a) != n or len(self.c) != n:
+        a = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in a)
+        c = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in c)
+        b = tuple(GaussianRational.coerce(x) for x in (b or [0] * n))
+        d = tuple(GaussianRational.coerce(x) for x in (d or [0] * n))
+        if len(a) != n or len(c) != n:
             raise ChartError("matrix size does not match the chart dimension")
         for i in range(n):
             for k in range(n):
-                s = sum((self.a[j][i] * self.c[j][k] for j in range(n)), GaussianRational(0))
+                s = sum((a[j][i] * c[j][k] for j in range(n)), GaussianRational(0))
                 if s != GaussianRational(1 if i == k else 0):
                     raise ChartError("a and c are not contragredient (a != c^{-1})")
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
 
     @staticmethod
     def from_position_part(chart: Chart, c, b=None, d=None) -> "AffineMap":

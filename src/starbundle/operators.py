@@ -11,8 +11,9 @@ symmetry statements are checked without any Hilbert-space analysis.
 from __future__ import annotations
 
 from math import comb
+from types import MappingProxyType
 
-from .algebra import EquivariantFunction, Monomial
+from .algebra import EquivariantFunction, Frozen, Monomial
 from .errors import ChartError, ExtractionError
 from .geometry import (
     Chart,
@@ -25,15 +26,17 @@ from .products import quantize
 from .scalars import Coefficient
 
 
-class Representation:
+class Representation(Frozen):
     """A choice of configuration variables, wave-function shape and polarization."""
 
+    __slots__ = ("name", "chart", "config_vars", "polarization", "_wave_builder")
+
     def __init__(self, name: str, chart: Chart, config_vars, polarization: Polarization, wave_builder):
-        self.name = name
-        self.chart = chart
-        self.config_vars = tuple(config_vars)
-        self.polarization = polarization
-        self._wave_builder = wave_builder
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "config_vars", tuple(config_vars))
+        object.__setattr__(self, "polarization", polarization)
+        object.__setattr__(self, "_wave_builder", wave_builder)
 
     @staticmethod
     def position(chart: Chart) -> "Representation":
@@ -83,16 +86,19 @@ class Representation:
         return f"Representation({self.name!r}, {self.chart!r})"
 
 
-class DiffOperator:
+class DiffOperator(Frozen):
     """sum_alpha c_alpha(x) d^alpha in the configuration variables.
 
     Normal form: coefficients to the left of derivatives, terms keyed
-    by the derivative multi-index.  Application to a generic jet
-    reproduces the function the operator was extracted from.
+    by the derivative multi-index in a read-only mapping.  Application
+    to a generic jet reproduces the function the operator was extracted
+    from.
     """
 
+    __slots__ = ("rep", "terms")
+
     def __init__(self, rep: Representation, terms):
-        self.rep = rep
+        object.__setattr__(self, "rep", rep)
         clean = {}
         for alpha, poly in terms.items():
             alpha = tuple(int(x) for x in alpha)
@@ -101,7 +107,7 @@ class DiffOperator:
             if not poly.is_zero():
                 self._check_config_poly(poly)
                 clean[alpha] = poly
-        self.terms = clean
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def _check_config_poly(self, poly: EquivariantFunction):
         if poly.jet_vars or poly.theta_weight or poly.weight_factor is not None:

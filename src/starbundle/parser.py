@@ -38,16 +38,21 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .algebra import EquivariantFunction
+from .algebra import EquivariantFunction, Monomial
 from .errors import ParseError
 from .geometry import Chart
-from .scalars import MAX_DIGITS, Coefficient, GaussianRational
+from .scalars import HBAR_OVER_I, MAX_DIGITS, Coefficient, GaussianRational
 
 MAX_NESTING = 100
 MAX_EXPONENT = 64
 MAX_TERMS = 1000
 _EXPONENT_BOUND = 10 ** MAX_DIGITS
 _UNITS = (1, -1, GaussianRational(0, 1), GaussianRational(0, -1))
+_C_ZERO = Coefficient.zero()
+_C_ONE = Coefficient.one()
+_SIGNS = {1: _C_ONE, -1: -_C_ONE}
+_I = Coefficient.coerce(GaussianRational(0, 1))
+_HBAR = Coefficient.hbar(1)
 
 
 # -- AST -----------------------------------------------------------------
@@ -272,23 +277,103 @@ def parse_expression(text: str, chart: Chart):
 
 
 class LoweringContext:
-    """Chart plus the jet family (if any) that psi symbols refer to."""
+    """Chart plus the jet family (if any) that psi symbols refer to.
+
+    A sum of products lowers straight into one term dict.  A product
+    collects its single-term factors as one scalar, one map of exponents
+    and one angular weight, and multiplies in only the factors with
+    several terms.  Sums and products are loops over the left-deep
+    chains the parser builds, so only parentheses add recursion depth.
+    """
 
     def __init__(self, chart: Chart, jet_vars=None):
         self.chart = chart
         self.jet_vars = tuple(jet_vars) if jet_vars is not None else None
 
     def lower(self, node) -> EquivariantFunction:
-        chart = self.chart
-        if isinstance(node, Rational):
-            return chart.constant(GaussianRational(node.value))
-        if isinstance(node, ImagUnit):
-            return chart.constant(GaussianRational(0, 1))
-        if isinstance(node, HbarSymbol):
-            scale = GaussianRational(0, -1) if node.over_i else GaussianRational(1)
-            return chart.constant(Coefficient.hbar(1, scale))
+        spine = []
+        while isinstance(node, (Add, Sub)):
+            spine.append(node)
+            node = node.left
+        terms: dict = {}
+        weight = 0
+        for link, summand in [(None, node)] + [(link, link.right) for link in reversed(spine)]:
+            sign = -1 if isinstance(link, Sub) else 1
+            if isinstance(summand, Neg):
+                sign, summand = -sign, summand.operand
+            product = self._product(summand, sign)
+            if product is None:
+                continue
+            if terms and product[0] != weight:
+                verb = "add" if isinstance(link, Add) else "subtract"
+                raise ParseError(
+                    f"cannot {verb} these subexpressions: cannot add functions of angular "
+                    f"weight {weight} and {product[0]}"
+                )
+            weight = product[0]
+            for mono, coeff in product[1]:
+                total = terms.get(mono, _C_ZERO) + coeff
+                if total:
+                    terms[mono] = total
+                else:
+                    del terms[mono]
+        return EquivariantFunction(self.chart, terms, weight, self.jet_vars or ())
+
+    def _product(self, node, sign: int):
+        """``sign`` times a product of factors, as its angular weight and
+        its (monomial, scalar) pairs, or None when it is zero.  The term
+        bound is checked before each multiplication, as if the factors
+        were multiplied one by one from the left."""
+        factors = []
+        while isinstance(node, Mul):
+            factors.append(node.right)
+            node = node.left
+        factors.append(node)
+        scalar, exponents, jets, weight = _SIGNS[sign], {}, {}, 0
+        poly = None  # the product of the factors with several terms
+        count = None  # terms in the product so far
+        for node in reversed(factors):
+            factor = self._factor(node)
+            single = isinstance(factor, tuple)
+            factor_count = (1 if factor[0] else 0) if single else len(factor.terms)
+            if count is not None:
+                _check_terms(count * factor_count,
+                             f"a product of {count} and {factor_count} terms")
+            if count == 0 or factor_count == 0:
+                count = 0
+            elif not single:
+                poly = factor if poly is None else poly * factor
+                count = len(poly.terms)
+            else:
+                count = count or 1
+                factor_scalar, factor_vars, factor_jets, factor_weight = factor
+                scalar = scalar * factor_scalar
+                for v, e in factor_vars:
+                    exponents[v] = exponents.get(v, 0) + e
+                for alpha, e in factor_jets:
+                    jets[alpha] = jets.get(alpha, 0) + e
+                weight += factor_weight
+        if count == 0:
+            return None
+        mono = Monomial(exponents.items(), jets.items()) if exponents or jets else Monomial.unit()
+        if poly is None:
+            return weight, ((mono, scalar),)
+        single = EquivariantFunction(self.chart, {mono: scalar}, weight,
+                                     self.jet_vars if jets else ())
+        product = poly * single
+        return product.theta_weight, product.terms.items()
+
+    def _factor(self, node):
+        """A factor with one term as a term (scalar, variable exponents, jet
+        exponents, angular weight); any other factor as a function."""
         if isinstance(node, Variable):
-            return chart.var(node.name)
+            return _C_ONE, ((node.name, 1),), (), 0
+        if isinstance(node, Rational):
+            return Coefficient({0: node.value}), (), (), 0
+        if isinstance(node, ImagUnit):
+            return _I, (), (), 0
+        if isinstance(node, HbarSymbol):
+            return (HBAR_OVER_I if node.over_i else _HBAR), (), (), 0
         if isinstance(node, JetSymbol):
             if self.jet_vars is None:
                 raise ParseError("jet symbols are not allowed in this context")
@@ -296,56 +381,51 @@ class LoweringContext:
                 raise ParseError(
                     f"psi takes {len(self.jet_vars)} derivative orders here, got {len(node.orders)}"
                 )
-            return EquivariantFunction.jet(chart, self.jet_vars, node.orders)
+            return _C_ONE, (), ((tuple(node.orders), 1),), 0
         if isinstance(node, AngularPhase):
-            return EquivariantFunction(
-                chart, EquivariantFunction.one(chart).terms, theta_weight=node.weight,
-            )
-        if isinstance(node, Neg):
-            return -self.lower(node.operand)
-        if isinstance(node, (Add, Sub, Mul)):
-            return self._chain(node)
+            return _C_ONE, (), (), node.weight
         if isinstance(node, Pow):
-            base = self.lower(node.base)
-            if abs(node.exponent) > MAX_EXPONENT and not _is_unit_term(base):
-                raise ParseError(
-                    f"exponent {node.exponent} exceeds {MAX_EXPONENT} on a base that is not "
-                    "a single term with a unit scalar"
-                )
-            if _largest_exponent(base) * abs(node.exponent) >= _EXPONENT_BOUND:
-                raise ParseError(
-                    f"this power makes an exponent longer than MAX_DIGITS = {MAX_DIGITS} digits"
-                )
-            if node.exponent >= 0:
-                if len(base.terms) > 1:
-                    _check_terms(comb(len(base.terms) + node.exponent - 1, node.exponent),
-                                 f"a {len(base.terms)}-term base to the power {node.exponent}")
-                return base ** node.exponent
-            value = _invert_scalar(base)
-            return base.chart.constant(value ** (-node.exponent))
-        raise ParseError(f"cannot lower node {node!r}")
-
-    def _chain(self, node) -> EquivariantFunction:
-        # Sums and products parse as left-deep chains as long as the input;
-        # fold them in a loop so only parentheses add recursion depth.
-        spine = []
-        while isinstance(node, (Add, Sub, Mul)):
-            spine.append(node)
-            node = node.left
+            return self._power(node)
+        if not isinstance(node, (Add, Sub, Mul, Neg)):
+            raise ParseError(f"cannot lower node {node!r}")
         value = self.lower(node)
-        for link in reversed(spine):
-            right = self.lower(link.right)
-            if isinstance(link, Mul):
-                _check_terms(len(value.terms) * len(right.terms),
-                             f"a product of {len(value.terms)} and {len(right.terms)} terms")
-                value = value * right
-                continue
-            try:
-                value = value + right if isinstance(link, Add) else value - right
-            except Exception as exc:
-                verb = "add" if isinstance(link, Add) else "subtract"
-                raise ParseError(f"cannot {verb} these subexpressions: {exc}") from None
-        return value
+        return _terms(value)[0] if len(value.terms) == 1 else value
+
+    def _power(self, node: Pow):
+        base, e = self._factor(node.base), node.exponent
+        single = isinstance(base, tuple)
+        if abs(e) > MAX_EXPONENT and not (single and _is_unit(base[0])):
+            raise ParseError(
+                f"exponent {e} exceeds {MAX_EXPONENT} on a base that is not "
+                "a single term with a unit scalar"
+            )
+        terms = [base] if single else _terms(base)
+        largest = max((abs(x) for term in terms for x in _exponents(term)), default=0)
+        if largest * abs(e) >= _EXPONENT_BOUND:
+            raise ParseError(
+                f"this power makes an exponent longer than MAX_DIGITS = {MAX_DIGITS} digits"
+            )
+        if not single:
+            if e < 0:
+                raise ParseError("negative powers are only defined for "
+                                 + ("scalar subexpressions" if base.terms else "single-term scalars"))
+            if len(base.terms) > 1:
+                _check_terms(comb(len(base.terms) + e - 1, e),
+                             f"a {len(base.terms)}-term base to the power {e}")
+            return base ** e
+        scalar, variables, jets, weight = base
+        if e < 0:
+            if variables or jets or weight:
+                raise ParseError("negative powers are only defined for scalar subexpressions")
+            entries = scalar.items()
+            if len(entries) != 1:
+                raise ParseError("negative powers are only defined for single-term scalars")
+            k, c = entries[0]
+            scalar, e = Coefficient({-k: GaussianRational(1) / c}), -e
+        if e == 0:
+            return _C_ONE, (), (), 0
+        return (scalar ** e, tuple((v, x * e) for v, x in variables),
+                tuple((alpha, x * e) for alpha, x in jets), weight * e)
 
 
 def _check_terms(bound: int, what: str) -> None:
@@ -353,34 +433,25 @@ def _check_terms(bound: int, what: str) -> None:
         raise ParseError(f"{what} may have {bound} terms, more than {MAX_TERMS}")
 
 
-def _is_unit_term(f: EquivariantFunction) -> bool:
-    """A single term whose scalar is +-1 or +-i times a power of hbar."""
-    if len(f.terms) != 1:
-        return False
-    (coeff,) = f.terms.values()
-    entries = coeff.items()
+def _terms(f: EquivariantFunction) -> list:
+    """The terms of f as (scalar, variable exponents, jet exponents, angular weight)."""
+    return [(coeff, mono.vars, mono.jets, f.theta_weight) for mono, coeff in f.terms.items()]
+
+
+def _is_unit(scalar: Coefficient) -> bool:
+    """+-1 or +-i times a power of hbar."""
+    entries = scalar.items()
     return len(entries) == 1 and entries[0][1] in _UNITS
 
 
-def _largest_exponent(f: EquivariantFunction) -> int:
-    """The largest |exponent| of a variable, jet, hbar or the angular weight in f."""
-    exponents = [f.theta_weight]
-    for mono, coeff in f.terms.items():
-        exponents += [e for _, e in mono.vars + mono.jets]
-        exponents += [k for k, _ in coeff.items()]
-    return max(map(abs, exponents))
-
-
-def _invert_scalar(f: EquivariantFunction) -> Coefficient:
-    try:
-        value = f.constant_value()
-    except Exception:
-        raise ParseError("negative powers are only defined for scalar subexpressions") from None
-    entries = value.items()
-    if len(entries) != 1:
-        raise ParseError("negative powers are only defined for single-term scalars")
-    k, c = entries[0]
-    return Coefficient({-k: GaussianRational(1) / c})
+def _exponents(term):
+    """The exponents of a term: of its variables, jets and hbar, and its angular weight."""
+    scalar, variables, jets, weight = term
+    yield weight
+    for _, e in variables + jets:
+        yield e
+    for k, _ in scalar.items():
+        yield k
 
 
 def lower_expression(text: str, chart: Chart, jet_vars=None) -> EquivariantFunction:

@@ -21,9 +21,9 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .algebra import THETA, EquivariantFunction, Monomial
-from .errors import ChartError, ObservableError, PolarizationError
-from .geometry import Chart, Polarization, horizontal_lift, polarization_witness
+from .algebra import THETA, EquivariantFunction, Frozen, Monomial
+from .errors import ChartError, LimitError, ObservableError, PolarizationError
+from .geometry import Chart, Polarization, chart_cache, horizontal_lift, polarization_witness
 from .scalars import (
     C_ONE,
     Coefficient,
@@ -66,22 +66,30 @@ def _function_key(f: EquivariantFunction):
     )
 
 
-class DriverTensor:
+class DriverTensor(Frozen):
     """An ordered list of (s, t) vector-field pairs decomposing a 2-tensor.
 
     Applying the tensor to a simple tensor f (x) g yields the list of
     pairs (s[f], t[g]); powers compose in the fixed pair order, so no
     factor-ordering ambiguity arises even for the lifted form whose
-    fields need not commute.
+    fields need not commute.  A base driver builds its lift along with
+    itself.
     """
 
+    __slots__ = ("chart", "pairs", "lifted", "name", "_lift")
+
     def __init__(self, chart: Chart, pairs, lifted: bool = False, name: str = ""):
-        self.chart = chart
-        self.pairs = tuple(pairs)
-        self.lifted = lifted
-        self.name = name
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "lifted", lifted)
+        object.__setattr__(self, "name", name)
+        lift = None
         if not lifted:
             self._check_base_fields_commute()
+            lift = DriverTensor(chart, [
+                (horizontal_lift(chart, s), horizontal_lift(chart, t)) for s, t in self.pairs
+            ], lifted=True, name=name)
+        object.__setattr__(self, "_lift", lift)
 
     def _check_base_fields_commute(self):
         fields = [f for pair in self.pairs for f in pair]
@@ -99,13 +107,7 @@ class DriverTensor:
                     raise ChartError("driver decomposition fields must mutually commute")
 
     def lift(self) -> "DriverTensor":
-        if self.lifted:
-            return self
-        pairs = [
-            (horizontal_lift(self.chart, s), horizontal_lift(self.chart, t))
-            for s, t in self.pairs
-        ]
-        return DriverTensor(self.chart, pairs, lifted=True, name=self.name)
+        return self if self.lifted else self._lift
 
     def apply_once(self, tensor_terms):
         """One application to a list of (left, right) pairs.
@@ -183,7 +185,8 @@ class DriverTensor:
 
 
 def driver_tensor(kind, chart: Chart) -> DriverTensor:
-    """The decomposed tensor for a product kind on a chart.
+    """The decomposed tensor for a product kind on a chart, built once
+    per (kind, chart) in the chart cache, lift included.
 
     Each bracket pair (c, u, v) of the chart, pi = sum c d/du ^ d/dv,
     gives the normal pair (c d/du, d/dv) and the antinormal pair
@@ -194,7 +197,10 @@ def driver_tensor(kind, chart: Chart) -> DriverTensor:
     moyal:      normal pairs followed by antinormal pairs
     wick:       the normal pairs          (bargmann chart only)
     """
-    kind = StarKind.coerce(kind)
+    return chart_cache(_standard_driver, StarKind.coerce(kind), chart)
+
+
+def _standard_driver(kind: StarKind, chart: Chart) -> DriverTensor:
     if kind == StarKind.WICK and chart.kind != "bargmann":
         raise ChartError("the wick driver requires the bargmann chart")
     if kind in (StarKind.NORMAL, StarKind.ANTINORMAL) and chart.kind == "bargmann":
@@ -214,6 +220,23 @@ def _require_observable(f: EquivariantFunction, what: str):
         raise ObservableError(f"{what} must be a classical observable (no theta, jets or factor)")
 
 
+# The most work one series may do, counted as len(a.terms) * len(b.terms)
+# for every product a * b it forms, f * g included.  The largest count
+# measured on the benchmark workloads, `dq check --suite all --max-degree 6`,
+# the golden files and the acceptance tests is 26,663 (a degree-12 normal
+# star product on the real line), under a quarter of this bound.
+MAX_SERIES_WORK = 120_000
+
+
+def _charge(work: int, a: EquivariantFunction, b: EquivariantFunction) -> int:
+    work += len(a.terms) * len(b.terms)
+    if work > MAX_SERIES_WORK:
+        raise LimitError(
+            f"the series would multiply more than MAX_SERIES_WORK = {MAX_SERIES_WORK} term pairs"
+        )
+    return work
+
+
 def exponential_product(
     driver: DriverTensor,
     f: EquivariantFunction,
@@ -223,8 +246,10 @@ def exponential_product(
     """m . exp(coefficient * Lambda) (f (x) g), summed until the terms vanish.
 
     Terminates for polynomial inputs: every application of the driver
-    differentiates the left slot.
+    differentiates the left slot.  Raises :class:`LimitError` before a
+    product that would take the work past ``MAX_SERIES_WORK``.
     """
+    work = _charge(0, f, g)
     total = f * g
     terms = [(f, g)]
     coeff_power = C_ONE
@@ -237,6 +262,7 @@ def exponential_product(
         scale = coeff_power.scaled(1, factorial(k))
         partial = EquivariantFunction.zero(driver.chart)
         for left, right in terms:
+            work = _charge(work, left, right)
             partial = partial + left * right
         total = total + partial * scale
     raise ChartError("driver series failed to terminate (non-polynomial input?)")

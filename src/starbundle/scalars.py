@@ -227,6 +227,13 @@ class Coefficient:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("Coefficient powers must be non-negative integers")
+        if len(self._data) == 1:
+            # (c hbar^k)^n = c^n hbar^(k n), powered on the triple
+            (k, t), = self._data.items()
+            triple = (1, 0, 1)
+            for bit in bin(n)[2:]:
+                triple = _mul(_mul(triple, triple), t) if bit == "1" else _mul(triple, triple)
+            return _coeff({k * n: triple})
         out = Coefficient.one()
         for bit in bin(n)[2:]:
             out = out * out * self if bit == "1" else out * out

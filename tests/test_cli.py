@@ -13,6 +13,7 @@ from starbundle import Chart, EquivariantFunction, format_function, souriau_brac
 from starbundle.checks import CheckResult
 from starbundle.cli import MAX_DEGREE, main
 from starbundle.emit import emit_json
+from starbundle.geometry import chart_cache
 from starbundle.scalars import HBAR_OVER_I
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,6 +41,24 @@ GOLDEN_CASES = {
     "extract_antinormal_q.json": [
         "extract", "--product", "antinormal", "--rep", "momentum", "q1",
         "--format", "json",
+    ],
+    "quantize_antinormal_n16.json": [
+        "quantize", "--product", "antinormal", "--dim", "16",
+        "(2-3*i)*q3*q7*p16 + (1/2)*hbar^-1*q12^2 + (3/4*i)*p5*q5 + 7", "--format", "json",
+    ],
+    "bullet_moyal_n16.json": [
+        "bullet", "--product", "moyal", "--dim", "16",
+        "(1-i)*p2*p9*q9 + (5/3)*hbar^-1*q4 + i*hbar*p16^2",
+        "((2+i)*q1 + hbar^-1)*psi(0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0)*e(1)", "--format", "json",
+    ],
+    "bracket_n16.json": [
+        "bracket", "--dim", "16", "(3-2*i)*p1*q2*q16 + i*hbar^-1*p7^2 + (1/5)*q11",
+        "((1/2+i)*p3 - hbar^-1*q9)*psi(" + ",".join("1" if k in (2, 20) else "0" for k in range(32))
+        + ")*e(1)", "--format", "json",
+    ],
+    "prequantize_n16.json": [
+        "prequantize", "--dim", "16",
+        "(4+i)*p6*q6*q13 + (2/7*i)*hbar^-1*p14 + (-1+i)*q2^2", "--format", "json",
     ],
 }
 
@@ -167,6 +186,16 @@ class TestCommands:
         assert time.monotonic() - start < 5
         assert proc.returncode == 2
         assert "more than 1000" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("power", [20, 30])
+    def test_star_series_past_the_work_bound_is_refused_quickly(self, power):
+        operand = f"(p1+q1+1)^{power}"
+        start = time.monotonic()
+        proc = run_dq_process(["star", "--dim", "1", "--product", "moyal", operand, operand],
+                              timeout=20)
+        assert time.monotonic() - start < 5
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "MAX_SERIES_WORK = 120000" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_products_past_the_term_bound_are_refused(self):
         code, out, err = run_cli(["star", "--dim", "1", "(p1+1)^64*(q1+1)^15", "q1"])
@@ -335,6 +364,7 @@ class TestGoldenFiles:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_repeated_runs_identical(self, name):
-        first = run_cli(GOLDEN_CASES[name])
-        second = run_cli(GOLDEN_CASES[name])
-        assert first == second
+        chart_cache.cache_clear()
+        cold = run_cli(GOLDEN_CASES[name])
+        warm = run_cli(GOLDEN_CASES[name])
+        assert cold == warm
