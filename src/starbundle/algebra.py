@@ -21,6 +21,7 @@ from .errors import ChartError, WeightFactorError
 from .scalars import C_ONE, Coefficient, GaussianRational
 
 _C_ZERO = Coefficient.zero()
+_C_I = Coefficient({0: GaussianRational(0, 1)})
 
 THETA = "theta"
 
@@ -123,6 +124,21 @@ class Monomial(Frozen):
 
     def __repr__(self):
         return f"Monomial({self.vars!r}, {self.jets!r})"
+
+
+class _MonomialDraft(Monomial):
+    # Monomial's slots without the raising __setattr__ (see _Unfrozen).
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+
+
+def _monomial(vars, jets) -> Monomial:
+    """Trusted constructor: ``vars`` and ``jets`` are sorted as in
+    :class:`Monomial`, with positive exponents."""
+    out = object.__new__(_MonomialDraft)
+    out.vars, out.jets, out._hash = vars, jets, hash((vars, jets))
+    out.__class__ = Monomial
+    return out
 
 
 _MONOMIAL_UNIT = Monomial()
@@ -345,34 +361,10 @@ class EquivariantFunction(Frozen):
             )
         if not isinstance(other, EquivariantFunction):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return EquivariantFunction.zero(self.chart)
-        self._compatible_chart(other)
-        jet_vars = _merge_jet_vars(self.jet_vars, other.jet_vars)
-        factor = _merge_weight_factors(self.weight_factor, other.weight_factor, product=True)
-        # A factor with the single term c * 1 scales the other one's
-        # coefficients; nonzero scalars have nonzero products, so no term
-        # vanishes.
-        if len(b) == 1 and _MONOMIAL_UNIT in b:
-            c = b[_MONOMIAL_UNIT]
-            terms = {m: v * c for m, v in a.items()}
-        elif len(a) == 1 and _MONOMIAL_UNIT in a:
-            c = a[_MONOMIAL_UNIT]
-            terms = {m: c * v for m, v in b.items()}
-        else:
-            terms = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    mono = m1.mul(m2)
-                    s = terms.get(mono, _C_ZERO) + c1 * c2
-                    if s:
-                        terms[mono] = s
-                    else:
-                        terms.pop(mono, None)
-        return _make(
-            self.chart, terms, self.theta_weight + other.theta_weight, jet_vars, factor,
-        )
+        terms: dict[Monomial, Coefficient] = {}
+        jets = _product_into(terms, self, other)
+        return _make(self.chart, terms, self.theta_weight + other.theta_weight, jets,
+                     self.weight_factor or other.weight_factor)
 
     def __rmul__(self, other):
         if isinstance(other, (Coefficient, GaussianRational, int, Fraction)):
@@ -393,52 +385,14 @@ class EquivariantFunction(Frozen):
 
     # -- calculus ----------------------------------------------------
 
-    def _poly_partial(self, var: str) -> "EquivariantFunction":
-        """Partial derivative of the polynomial part (chart variables and jets)."""
-        jet_pos = self.jet_vars.index(var) if var in self.jet_vars else None
-        terms: dict[Monomial, Coefficient] = {}
-
-        def put(mono, coeff):
-            s = terms.get(mono, _C_ZERO) + coeff
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-
-        for mono, coeff in self._terms.items():
-            vs = mono.var_map()
-            e = vs.get(var, 0)
-            if e:
-                new_vs = dict(vs)
-                new_vs[var] = e - 1
-                put(Monomial(new_vs.items(), mono.jets), coeff.scaled(e))
-            if jet_pos is not None:
-                js = mono.jet_map()
-                for alpha, je in mono.jets:
-                    shifted = list(alpha)
-                    shifted[jet_pos] += 1
-                    new_js = dict(js)
-                    new_js[alpha] = je - 1
-                    new_js[tuple(shifted)] = new_js.get(tuple(shifted), 0) + 1
-                    put(Monomial(vs.items(), new_js.items()), coeff.scaled(je))
-        return _make(
-            self.chart, terms, self.theta_weight, self.jet_vars, self.weight_factor,
-        )
-
     def differentiate(self, var: str) -> "EquivariantFunction":
         """Exact partial derivative, including chain rule on jets, the
         angular weight, and the weight-factor logarithmic derivative."""
-        if var == THETA:
-            out = self._poly_partial(THETA)
-            if self.theta_weight:
-                out = out + self * GaussianRational(0, self.theta_weight)
-            return out
-        if var not in self.chart.variables:
+        if var != THETA and var not in self.chart.variables:
             raise ChartError(f"cannot differentiate along unknown variable {var!r}")
-        out = self._poly_partial(var)
-        if self.weight_factor is not None:
-            out = out + self * self.weight_factor.log_derivative(var)
-        return out
+        terms: dict[Monomial, Coefficient] = {}
+        _derive_into(terms, self, var, _UNIT_TERMS)
+        return _make(self.chart, terms, self.theta_weight, self.jet_vars, self.weight_factor)
 
     def substitute(self, mapping: dict[str, "EquivariantFunction"]) -> "EquivariantFunction":
         """Replace chart variables by polynomials.  Jet variables and
@@ -512,23 +466,112 @@ def _make(chart, terms, theta_weight, jet_vars, weight_factor) -> EquivariantFun
     return out
 
 
+# -- accumulation into a term dict -------------------------------------------
+#
+# The calculus below adds into a canonical term dict (no zero values) that
+# the caller owns, instead of building a function per product and per sum.
+
+_UNIT_TERMS = {_MONOMIAL_UNIT: C_ONE}
+
+
+def _add_product(terms, a, b):
+    """Add the product of two sums of (monomial, coefficient) pairs into
+    ``terms``; ``a`` is iterated once per pair of ``b``."""
+    for m2, c2 in b:
+        unit, one = m2 == _MONOMIAL_UNIT, c2 == C_ONE
+        for m1, c1 in a:
+            mono = m1 if unit else m1.mul(m2)
+            s = terms.get(mono, _C_ZERO) + (c1 if one else c1 * c2)
+            if s:
+                terms[mono] = s
+            else:
+                terms.pop(mono, None)
+
+
+def _product_into(terms, a, b, scale=None, jets=()):
+    """Add a * b, times ``scale`` if given, into ``terms``.
+
+    Checks a and b as a product must (at most one weight factor, one jet
+    family) and returns ``jets`` merged with the product's jet family,
+    the family of a sum of such products.
+    """
+    if not a._terms or not b._terms:
+        return jets
+    a._compatible_chart(b)
+    family = _merge_jet_vars(a.jet_vars, b.jet_vars)
+    _merge_weight_factors(a.weight_factor, b.weight_factor, product=True)
+    small, large = sorted((a._terms, b._terms), key=len)
+    if scale is not None:
+        small = {m: c * scale for m, c in small.items()}
+    _add_product(terms, large.items(), small.items())
+    return _merge_jet_vars(jets, family)
+
+
+def _lowered(f: EquivariantFunction, var: str) -> list:
+    """The polynomial part of df/dvar as (monomial, coefficient) pairs:
+    each monomial's exponent of var lowered by one and, when var has a
+    jet, each jet shifted along it.  The lowered vars stay sorted."""
+    jet_pos = f.jet_vars.index(var) if var in f.jet_vars else None
+    out = []
+    for mono, coeff in f._terms.items():
+        vs, js = mono.vars, mono.jets
+        for i, (v, e) in enumerate(vs):
+            if v == var:
+                rest = vs[i + 1:]
+                vs_lowered = vs[:i] + ((v, e - 1),) + rest if e > 1 else vs[:i] + rest
+                out.append((_monomial(vs_lowered, js), coeff.scaled(e) if e > 1 else coeff))
+                break
+        if jet_pos is not None:
+            for alpha, je in js:
+                shifted = alpha[:jet_pos] + (alpha[jet_pos] + 1,) + alpha[jet_pos + 1:]
+                moved = dict(js)
+                moved[alpha] -= 1
+                moved[shifted] = moved.get(shifted, 0) + 1
+                moved = tuple(sorted((a, x) for a, x in moved.items() if x))
+                out.append((_monomial(vs, moved), coeff.scaled(je) if je > 1 else coeff))
+    return out
+
+
+def _derive_into(terms, f: EquivariantFunction, var: str, poly) -> None:
+    """Add poly * df/dvar into ``terms``, for ``poly`` a plain polynomial's
+    term dict: the lowered terms of f, plus f times i*m along theta or
+    times the weight factor's log-derivative along a chart variable."""
+    log = {}
+    if var == THETA:
+        if f.theta_weight:
+            log = {_MONOMIAL_UNIT: _C_I.scaled(f.theta_weight)}
+    elif f.weight_factor is not None:
+        log = f.weight_factor.log_derivative(var)._terms
+    poly = list(poly.items())
+    _add_product(terms, _lowered(f, var), poly)
+    if log:
+        weighted: dict[Monomial, Coefficient] = {}
+        _add_product(weighted, log.items(), poly)
+        _add_product(terms, f._terms.items(), weighted.items())
+
+
+def add_into(table: dict, key, f: EquivariantFunction) -> None:
+    """table[key] += f, dropping the entry when the sum is zero."""
+    total = table[key] + f if key in table else f
+    if total.is_zero():
+        table.pop(key, None)
+    else:
+        table[key] = total
+
+
+def higher_derivative(f: EquivariantFunction, variables, alpha) -> EquivariantFunction:
+    """d^alpha f, alpha[k] times along variables[k]."""
+    for var, order in zip(variables, alpha):
+        for _ in range(order):
+            f = f.differentiate(var)
+    return f
+
+
 def substitute_jets(f: EquivariantFunction, component: EquivariantFunction) -> EquivariantFunction:
     """Replace each jet symbol psi_alpha by the alpha-th derivative of a
     concrete jet-free polynomial ``component``."""
     if component.jet_vars or component.theta_weight or component.weight_factor is not None:
         raise ChartError("jet substitution requires a plain polynomial component")
-    cache: dict[JetIndex, EquivariantFunction] = {}
-
-    def derivative(alpha: JetIndex) -> EquivariantFunction:
-        if alpha in cache:
-            return cache[alpha]
-        out = component
-        for var, order in zip(f.jet_vars, alpha):
-            for _ in range(order):
-                out = out.differentiate(var)
-        cache[alpha] = out
-        return out
-
     total = EquivariantFunction.zero(f.chart)
     for mono, coeff in f.terms.items():
         piece = EquivariantFunction(
@@ -536,7 +579,7 @@ def substitute_jets(f: EquivariantFunction, component: EquivariantFunction) -> E
             theta_weight=f.theta_weight, weight_factor=f.weight_factor,
         )
         for alpha, e in mono.jets:
-            piece = piece * derivative(alpha) ** e
+            piece = piece * higher_derivative(component, f.jet_vars, alpha) ** e
         total = total + piece
     return total
 
@@ -547,10 +590,12 @@ class Derivation(Frozen):
 
     ``coeffs`` maps each variable with a nonzero coefficient to it, in a
     read-only mapping.
-    The coefficients are plain polynomials on the chart; the theta
+    The coefficients are plain polynomials on the chart (no jets, weight
+    factor or angular weight; the constructor refuses others); the theta
     coefficient may carry negative hbar powers (horizontal lifts do).
-    Acts on :class:`EquivariantFunction` via :meth:`__call__` and
-    satisfies the Leibniz rule by construction.
+    Acts on :class:`EquivariantFunction` via :meth:`__call__`, adding
+    every coefficient times its partial derivative into one term dict,
+    and satisfies the Leibniz rule by construction.
     """
 
     __slots__ = ("chart", "coeffs")
@@ -560,6 +605,9 @@ class Derivation(Frozen):
         for v, poly in (coeffs or {}).items():
             if v != THETA and v not in chart.variables:
                 raise ChartError(f"derivation coefficient on unknown variable {v!r}")
+            if poly.jet_vars or poly.theta_weight or poly.weight_factor is not None \
+                    or poly.chart != chart:
+                raise ChartError("derivation coefficients are plain polynomials on its chart")
             if not poly.is_zero():
                 clean[v] = poly
         object.__setattr__(self, "chart", chart)
@@ -575,18 +623,17 @@ class Derivation(Frozen):
     def __call__(self, f: EquivariantFunction) -> EquivariantFunction:
         if f.chart is not self.chart and f.chart != self.chart:
             raise ChartError("derivation and function live on different charts")
-        out = None
+        terms: dict[Monomial, Coefficient] = {}
         for v, poly in self.coeffs.items():
-            term = poly * f.differentiate(v)
-            out = term if out is None else out + term
-        return EquivariantFunction.zero(self.chart) if out is None else out
+            _derive_into(terms, f, v, poly._terms)
+        return _make(self.chart, terms, f.theta_weight, f.jet_vars, f.weight_factor)
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.chart != other.chart:
             raise ChartError("cannot add derivations on different charts")
         coeffs = dict(self.coeffs)
         for v, poly in other.coeffs.items():
-            coeffs[v] = coeffs.get(v, EquivariantFunction.zero(self.chart)) + poly
+            add_into(coeffs, v, poly)
         return Derivation(self.chart, coeffs)
 
     def __neg__(self):
@@ -597,9 +644,7 @@ class Derivation(Frozen):
 
     def __mul__(self, scale) -> "Derivation":
         """Multiply by a scalar or by a polynomial function."""
-        if isinstance(scale, (Coefficient, GaussianRational, int, Fraction)):
-            scale = EquivariantFunction.constant(self.chart, Coefficient.coerce(scale))
-        return Derivation(self.chart, {v: scale * poly for v, poly in self.coeffs.items()})
+        return Derivation(self.chart, {v: poly * scale for v, poly in self.coeffs.items()})
 
     __rmul__ = __mul__
 

@@ -468,12 +468,9 @@ def check_charts(seed: int = 0, maps: int = 50, max_degree: int = 3, kmax: int =
             rec.case("tensor-invariance", amap.transform(driver) == driver,
                      lambda: f"kind={kind.value}, map={amap!r}")
             for k in range(kmax + 1):
-                old = EquivariantFunction.zero(chart)
-                for left, right in driver.power_terms(F, G, k):
-                    old = old + left * right
-                new = EquivariantFunction.zero(chart)
-                for left, right in driver.power_terms(F2, G2, k):
-                    new = new + left * right
+                zero = EquivariantFunction.zero(chart)
+                old = sum((left * right for left, right in driver.power_terms(F, G, k)), zero)
+                new = sum((left * right for left, right in driver.power_terms(F2, G2, k)), zero)
                 rec.case("power-agreement", amap.transform(old) == new,
                          lambda: f"kind={kind.value}, k={k}, F={F}, G={G}")
     return rec.results()

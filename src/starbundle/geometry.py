@@ -15,7 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .algebra import THETA, Derivation, EquivariantFunction, Frozen, WeightFactor
+from .algebra import (
+    THETA, Derivation, EquivariantFunction, Frozen, WeightFactor, _make, _product_into, add_into,
+)
 from .errors import ChartError, ObservableError
 from .scalars import C_ONE, Coefficient, GaussianRational
 
@@ -164,7 +166,8 @@ CHART_CACHE_SIZE = 64
 def chart_cache(build, *key):
     """``build(*key)`` for a key of a chart, or of a product kind and a
     chart: the connection and lifted coordinate fields here, the product
-    drivers in :mod:`starbundle.products`.
+    drivers in :mod:`starbundle.products` and the named representations
+    in :mod:`starbundle.operators`.
 
     What it returns depends only on the key and is immutable, so every
     caller and every thread may share it.  Two threads that miss the
@@ -229,9 +232,6 @@ class Polarization(Frozen):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "directions", directions)
 
-    def lifted_fields(self) -> list[Derivation]:
-        return [horizontal_lift(self.chart, v) for v in self.directions]
-
     def __eq__(self, other):
         if not isinstance(other, Polarization):
             return NotImplemented
@@ -243,13 +243,13 @@ class Polarization(Frozen):
 
 def is_polarized(chart: Chart, polarization: Polarization, psi: EquivariantFunction) -> bool:
     """True iff every lifted spanning field annihilates psi."""
-    if polarization.chart != chart:
-        raise ChartError("polarization belongs to a different chart")
-    return all(lift(psi).is_zero() for lift in polarization.lifted_fields())
+    return polarization_witness(chart, polarization, psi) is None
 
 
 def polarization_witness(chart, polarization, psi):
     """First (direction, remainder) with nonzero remainder, or None."""
+    if polarization.chart != chart:
+        raise ChartError("polarization belongs to a different chart")
     for v in polarization.directions:
         remainder = horizontal_lift(chart, v)(psi)
         if not remainder.is_zero():
@@ -265,18 +265,22 @@ def souriau_bracket(
 ) -> EquivariantFunction:
     """The lifted-bivector bracket of two functions on the bundle.
 
-    Bilinear and antisymmetric, satisfies the Leibniz rule in each
-    slot, reduces to the Poisson bracket on theta-independent
+    Adds c * (lu f * lv g - lv f * lu g) for each bracket pair (c, u, v)
+    into one term dict.  Bilinear and antisymmetric, satisfies the Leibniz
+    rule in each slot, reduces to the Poisson bracket on theta-independent
     functions, but fails the Jacobi identity (see the jacobiator).
     """
     if f.chart != chart or g.chart != chart:
         raise ChartError("bracket arguments must live on the given chart")
-    out = EquivariantFunction.zero(chart)
+    terms, jets = {}, ()
     for scale, u, v in chart.bracket_pairs:
         lu = horizontal_lift(chart, u)
         lv = horizontal_lift(chart, v)
-        out = out + (lu(f) * lv(g) - lv(f) * lu(g)) * scale
-    return out
+        scale = Coefficient.coerce(scale)
+        jets = _product_into(terms, lu(f), lv(g), scale, jets)
+        jets = _product_into(terms, lv(f), lu(g), -scale, jets)
+    return _make(chart, terms, f.theta_weight + g.theta_weight, jets,
+                 f.weight_factor or g.weight_factor)
 
 
 def jacobiator(chart, f, g, h) -> EquivariantFunction:
@@ -294,12 +298,8 @@ def hamiltonian_vector_field(chart: Chart, observable: EquivariantFunction) -> D
         raise ObservableError("Hamiltonian vector fields are defined for observables only")
     coeffs: dict[str, EquivariantFunction] = {}
     for scale, u, v in chart.bracket_pairs:
-        du = observable.differentiate(u) * scale
-        dv = observable.differentiate(v) * scale
-        if not du.is_zero():
-            coeffs[v] = coeffs.get(v, chart.zero()) + du
-        if not dv.is_zero():
-            coeffs[u] = coeffs.get(u, chart.zero()) - dv
+        add_into(coeffs, v, observable.differentiate(u) * scale)
+        add_into(coeffs, u, -(observable.differentiate(v) * scale))
     return Derivation(chart, coeffs)
 
 
@@ -496,27 +496,22 @@ class AffineMap(Frozen):
     def transform_derivation(self, field: Derivation) -> Derivation:
         chart, n = self.chart, self.chart.n
         coeffs: dict[str, EquivariantFunction] = {}
-
-        def add(var, poly):
-            if not poly.is_zero():
-                coeffs[var] = coeffs.get(var, chart.zero()) + poly
-
         for k in range(n):
             cp = field.coeffs.get(chart.momentum_vars[k])
             if cp is not None:
                 sub = self.transform_function(cp)
                 for j in range(n):
                     if self.a[j][k]:
-                        add(chart.momentum_vars[j], sub * Coefficient.coerce(self.a[j][k]))
+                        add_into(coeffs, chart.momentum_vars[j], sub * Coefficient.coerce(self.a[j][k]))
             cq = field.coeffs.get(chart.position_vars[k])
             if cq is not None:
                 sub = self.transform_function(cq)
                 for j in range(n):
                     if self.c[j][k]:
-                        add(chart.position_vars[j], sub * Coefficient.coerce(self.c[j][k]))
+                        add_into(coeffs, chart.position_vars[j], sub * Coefficient.coerce(self.c[j][k]))
         theta = field.coeffs.get(THETA)
         if theta is not None:
-            add(THETA, self.transform_function(theta))
+            add_into(coeffs, THETA, self.transform_function(theta))
         return Derivation(chart, coeffs)
 
     def transform(self, obj):

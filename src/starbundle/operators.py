@@ -13,12 +13,13 @@ from __future__ import annotations
 from math import comb
 from types import MappingProxyType
 
-from .algebra import EquivariantFunction, Frozen, Monomial
+from .algebra import EquivariantFunction, Frozen, Monomial, add_into, higher_derivative
 from .errors import ChartError, ExtractionError
 from .geometry import (
     Chart,
     Polarization,
     bargmann_wave,
+    chart_cache,
     momentum_wave,
     position_wave,
 )
@@ -61,15 +62,10 @@ class Representation(Frozen):
 
     @staticmethod
     def named(name: str, chart: Chart) -> "Representation":
-        try:
-            factory = {
-                "position": Representation.position,
-                "momentum": Representation.momentum,
-                "bargmann": Representation.bargmann,
-            }[name]
-        except KeyError:
-            raise ChartError(f"unknown representation {name!r}") from None
-        return factory(chart)
+        """The representation of that name, built once per chart in the chart cache."""
+        if name not in ("position", "momentum", "bargmann"):
+            raise ChartError(f"unknown representation {name!r}")
+        return chart_cache(getattr(Representation, name), chart)
 
     def wave(self, component=None) -> EquivariantFunction:
         return self._wave_builder(self.chart, component)
@@ -129,13 +125,8 @@ class DiffOperator(Frozen):
         if self.rep != other.rep:
             raise ChartError("cannot add operators in different representations")
         terms = dict(self.terms)
-        zero = self.rep.chart.zero()
         for alpha, poly in other.terms.items():
-            acc = terms.get(alpha, zero) + poly
-            if acc.is_zero():
-                terms.pop(alpha, None)
-            else:
-                terms[alpha] = acc
+            add_into(terms, alpha, poly)
         return DiffOperator(self.rep, terms)
 
     def __neg__(self):
@@ -155,11 +146,7 @@ class DiffOperator(Frozen):
         self._check_config_poly(component)
         out = EquivariantFunction.zero(self.rep.chart)
         for alpha, poly in self.terms.items():
-            piece = component
-            for var, order in zip(self.rep.config_vars, alpha):
-                for _ in range(order):
-                    piece = piece.differentiate(var)
-            out = out + poly * piece
+            out = out + poly * higher_derivative(component, self.rep.config_vars, alpha)
         return out
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
@@ -168,25 +155,17 @@ class DiffOperator(Frozen):
             raise ChartError("cannot compose operators in different representations")
         config = self.rep.config_vars
         terms: dict[tuple, EquivariantFunction] = {}
-        zero = self.rep.chart.zero()
         for alpha, c in self.terms.items():
             for beta, d in other.terms.items():
                 for gamma in _multi_range(alpha):
-                    dg = d
-                    for var, order in zip(config, gamma):
-                        for _ in range(order):
-                            dg = dg.differentiate(var)
+                    dg = higher_derivative(d, config, gamma)
                     if dg.is_zero():
                         continue
                     binom = 1
                     for a_i, g_i in zip(alpha, gamma):
                         binom *= comb(a_i, g_i)
                     new_alpha = tuple(a_i - g_i + b_i for a_i, g_i, b_i in zip(alpha, gamma, beta))
-                    acc = terms.get(new_alpha, zero) + c * dg * binom
-                    if acc.is_zero():
-                        terms.pop(new_alpha, None)
-                    else:
-                        terms[new_alpha] = acc
+                    add_into(terms, new_alpha, c * dg * binom)
         return DiffOperator(self.rep, terms)
 
     def adjoint(self) -> "DiffOperator":
@@ -199,28 +178,20 @@ class DiffOperator(Frozen):
             raise ChartError("the formal adjoint is defined for real-chart representations")
         config = self.rep.config_vars
         terms: dict[tuple, EquivariantFunction] = {}
-        zero = self.rep.chart.zero()
         for alpha, c in self.terms.items():
             sign = -1 if sum(alpha) % 2 else 1
             cbar = EquivariantFunction(
                 self.rep.chart, {m: v.conjugate() for m, v in c.terms.items()},
             )
             for gamma in _multi_range(alpha):
-                cg = cbar
-                for var, order in zip(config, gamma):
-                    for _ in range(order):
-                        cg = cg.differentiate(var)
+                cg = higher_derivative(cbar, config, gamma)
                 if cg.is_zero():
                     continue
                 binom = 1
                 for a_i, g_i in zip(alpha, gamma):
                     binom *= comb(a_i, g_i)
                 new_alpha = tuple(a_i - g_i for a_i, g_i in zip(alpha, gamma))
-                acc = terms.get(new_alpha, zero) + cg * (binom * sign)
-                if acc.is_zero():
-                    terms.pop(new_alpha, None)
-                else:
-                    terms[new_alpha] = acc
+                add_into(terms, new_alpha, cg * (binom * sign))
         return DiffOperator(self.rep, terms)
 
     def sorted_terms(self):

@@ -76,8 +76,13 @@ Pow = namedtuple("Pow", "base exponent")
 
 
 Token = namedtuple("Token", "kind text column")  # kind: "uint" | "name" | "sym" | "end"
-_SYMBOLS = set("+-*^(),/")
 _LONG_DIGIT_RUN = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
+# Every character falls in one alternative, so the matches are contiguous
+# and a running length gives each token's column.  \s, \d and [^\W_]
+# are exactly str.isspace, str.isdecimal and str.isalnum; [^\W\d_] also
+# takes numeric non-decimals such as "²", so a name's first character
+# must pass str.isalpha as well.  Symbols, the most frequent, go first.
+_TOKEN = re.compile(r"([-+*^(),/])|(\d+)|([^\W\d_][^\W_]*)|(\s+)|(.)", re.DOTALL)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -86,30 +91,17 @@ def tokenize(text: str) -> list[Token]:
         raise ParseError(f"a digit run is longer than MAX_DIGITS = {MAX_DIGITS}",
                          column=long_run.start() + 1)
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        column = i + 1
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("uint", text[i:j], column))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum()):
-                j += 1
-            tokens.append(Token("name", text[i:j], column))
-            i = j
-        elif ch in _SYMBOLS:
-            tokens.append(Token("sym", ch, column))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", column=column)
+    column = 1
+    for sym, uint, name, space, bad in _TOKEN.findall(text):
+        if sym:
+            tokens.append(Token("sym", sym, column))
+        elif uint:
+            tokens.append(Token("uint", uint, column))
+        elif name and name[0].isalpha():
+            tokens.append(Token("name", name, column))
+        elif not space:
+            raise ParseError(f"unexpected character {(name or bad)[0]!r}", column=column)
+        column += len(sym or uint or name or space)
     tokens.append(Token("end", "", len(text) + 1))
     return tokens
 

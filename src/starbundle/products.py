@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .algebra import THETA, EquivariantFunction, Frozen, Monomial
+from .algebra import THETA, EquivariantFunction, Frozen, Monomial, _make, _product_into, add_into
 from .errors import ChartError, LimitError, ObservableError, PolarizationError
 from .geometry import Chart, Polarization, chart_cache, horizontal_lift, polarization_witness
 from .scalars import (
@@ -51,10 +51,6 @@ class StarKind(str, Enum):
 
 # hbar/(2i)
 HALF_HBAR_OVER_I = Coefficient({1: GaussianRational(0, Fraction(-1, 2))})
-
-
-def _is_constant(f: EquivariantFunction) -> bool:
-    return list(f.terms) == [Monomial.unit()] and not f.theta_weight and f.weight_factor is None
 
 
 def _function_key(f: EquivariantFunction):
@@ -97,8 +93,9 @@ class DriverTensor(Frozen):
             if THETA in field.coeffs:
                 raise ChartError("driver base fields live on the base (no theta part)")
         # [a d/du, b d/dv] = 0 for constants a, b: only pairs with a
-        # non-constant field need the exact commutator.
-        constant = [all(_is_constant(c) for c in f.coeffs.values()) for f in fields]
+        # non-constant field need the exact commutator.  The coefficients
+        # are plain polynomials, so a constant one has degree 0.
+        constant = [not any(c.chart_degree() for c in f.coeffs.values()) for f in fields]
         for i, f1 in enumerate(fields):
             for j in range(i + 1, len(fields)):
                 if constant[i] and constant[j]:
@@ -150,15 +147,10 @@ class DriverTensor(Frozen):
         comparisons across affine chart changes.
         """
         comps: dict[tuple[str, str], EquivariantFunction] = {}
-        zero = self.chart.zero()
         for s, t in self.pairs:
             for u, cu in s.coeffs.items():
                 for v, cv in t.coeffs.items():
-                    acc = comps.get((u, v), zero) + cu * cv
-                    if acc.is_zero():
-                        comps.pop((u, v), None)
-                    else:
-                        comps[(u, v)] = acc
+                    add_into(comps, (u, v), cu * cv)
         return comps
 
     def transformed(self, affine_map) -> "DriverTensor":
@@ -245,26 +237,29 @@ def exponential_product(
 ) -> EquivariantFunction:
     """m . exp(coefficient * Lambda) (f (x) g), summed until the terms vanish.
 
+    Each order's products, times that order's scale, are added into the
+    one term dict of the running total.
+
     Terminates for polynomial inputs: every application of the driver
     differentiates the left slot.  Raises :class:`LimitError` before a
     product that would take the work past ``MAX_SERIES_WORK``.
     """
     work = _charge(0, f, g)
-    total = f * g
+    total: dict = {}
+    jets = _product_into(total, f, g)
     terms = [(f, g)]
     coeff_power = C_ONE
     budget = f.chart_degree() + g.chart_degree() + 2 * len(driver.pairs) + 4
     for k in range(1, budget + 1):
         terms = driver.apply_once(terms)
         if not terms:
-            return total
+            return _make(f.chart, total, f.theta_weight + g.theta_weight, jets,
+                         f.weight_factor or g.weight_factor)
         coeff_power = coeff_power * coefficient
         scale = coeff_power.scaled(1, factorial(k))
-        partial = EquivariantFunction.zero(driver.chart)
         for left, right in terms:
             work = _charge(work, left, right)
-            partial = partial + left * right
-        total = total + partial * scale
+            jets = _product_into(total, left, right, scale, jets)
     raise ChartError("driver series failed to terminate (non-polynomial input?)")
 
 

@@ -208,6 +208,22 @@ class TestDerivation:
         with pytest.raises(ChartError):
             d(CH2.var("p1"))
 
+    @pytest.mark.parametrize("coefficient", [
+        lambda: EquivariantFunction.jet(CH, ("q1",)),
+        lambda: EquivariantFunction(CH, CH.var("q1").terms, theta_weight=1),
+        lambda: EquivariantFunction(CH, CH.var("q1").terms, weight_factor=momentum_phase(CH)),
+        lambda: CH2.var("q1"),
+    ], ids=["jet", "angular-weight", "weight-factor", "other-chart"])
+    def test_coefficients_must_be_plain_polynomials(self, coefficient):
+        for var in ("p1", "theta"):
+            with pytest.raises(ChartError, match="plain polynomials"):
+                Derivation(CH, {var: coefficient()})
+        with pytest.raises(ChartError):
+            Derivation.coordinate(CH, "q1") * coefficient()
+        # a theta monomial and negative hbar powers are plain
+        theta_poly = CH.var("theta") * CH.var("p1") * Coefficient.hbar(-1)
+        assert Derivation(CH, {"theta": theta_poly}).coeffs["theta"] == theta_poly
+
 
 class TestWeightFactors:
     def test_standard_factors_closed(self):

@@ -14,11 +14,13 @@ from starbundle import (
     GaussianRational,
     ObservableError,
     Polarization,
+    PolarizationError,
     bargmann_wave,
     hamiltonian_vector_field,
     horizontal_lift,
     is_polarized,
     jacobiator,
+    lower_expression,
     momentum_wave,
     position_wave,
     souriau_bracket,
@@ -176,6 +178,21 @@ class TestPolarization:
     def test_non_lagrangian_span_rejected(self):
         with pytest.raises(ChartError):
             Polarization("J", CH, ("p1", "q1"))
+
+    def test_witness_refuses_a_polarization_of_another_chart(self):
+        from starbundle import quantize
+        from starbundle.geometry import polarization_witness
+
+        # the wave depends on p2, so it is not vertically polarized on CH2
+        psi = lower_expression("p2*q1*e(1)", CH2)
+        with pytest.raises(ChartError, match="different chart"):
+            polarization_witness(CH2, CH.vertical_polarization(), psi)
+        with pytest.raises(ChartError, match="different chart"):
+            is_polarized(CH2, CH.vertical_polarization(), psi)
+        with pytest.raises(ChartError, match="different chart"):
+            quantize("normal", CH2.var("q1"), psi, CH.vertical_polarization())
+        with pytest.raises(PolarizationError):
+            quantize("normal", CH2.var("q1"), psi, CH2.vertical_polarization())
 
 
 class TestAffineMap:

@@ -308,3 +308,70 @@ class TestLoweringReference:
         ast = parse_expression(text, CH2)
         ctx = LoweringContext(CH2, CH2.position_vars)
         assert _outcome(LoweringContext.lower, ctx, ast) == _outcome(_reference_lower, ctx, ast)
+
+
+def _reference_tokenize(text):
+    """The character loop the regex tokenizer replaced, kept as its reference."""
+    long_run = parser._LONG_DIGIT_RUN.search(text)
+    if long_run:
+        raise ParseError(f"a digit run is longer than MAX_DIGITS = {parser.MAX_DIGITS}",
+                         column=long_run.start() + 1)
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        column = i + 1
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(parser.Token("uint", text[i:j], column))
+            i = j
+        elif ch.isalpha():
+            j = i
+            while j < len(text) and text[j].isalnum():
+                j += 1
+            tokens.append(parser.Token("name", text[i:j], column))
+            i = j
+        elif ch in "+-*^(),/":
+            tokens.append(parser.Token("sym", ch, column))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", column=column)
+    tokens.append(parser.Token("end", "", len(text) + 1))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.column)
+
+
+# Grammar characters plus the Unicode classes where isspace, isdecimal,
+# isalpha and isalnum differ from ASCII: other whitespace, other decimal
+# digits, letters, marks, numeric non-decimals, underscore and controls.
+_TOKEN_ALPHABET = st.sampled_from(list(
+    "pqz19 +-*^(),/.#_\t\n\r\x0b\x0c\x1c\x85\xa0 　"
+    "١३５\U0001d7d8éßΣλ中ǅʰ́ः²³½Ⅰ①ⅷ\x00\U0001f600"
+))
+
+
+class TestTokenizerReference:
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text(_TOKEN_ALPHABET, max_size=24) | st.text(max_size=12))
+    def test_regex_tokenizer_equals_the_character_loop(self, text):
+        assert _tokens_or_error(parser.tokenize, text) \
+            == _tokens_or_error(_reference_tokenize, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "   ", "p1 + q12^-2 ", "²p1", "p1²", "١٢*p1", "p_1", "p1\n",
+        "9" * (parser.MAX_DIGITS + 1), "p" + "1" * (parser.MAX_DIGITS + 1), "x" * 50,
+    ])
+    def test_edge_cases_equal_the_character_loop(self, text):
+        assert _tokens_or_error(parser.tokenize, text) \
+            == _tokens_or_error(_reference_tokenize, text)
