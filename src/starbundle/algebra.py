@@ -391,7 +391,7 @@ class EquivariantFunction(Frozen):
         if var != THETA and var not in self.chart.variables:
             raise ChartError(f"cannot differentiate along unknown variable {var!r}")
         terms: dict[Monomial, Coefficient] = {}
-        _derive_into(terms, self, var, _UNIT_TERMS)
+        _derive_into(terms, self, ((var, _UNIT_TERMS),))
         return _make(self.chart, terms, self.theta_weight, self.jet_vars, self.weight_factor)
 
     def substitute(self, mapping: dict[str, "EquivariantFunction"]) -> "EquivariantFunction":
@@ -532,22 +532,24 @@ def _lowered(f: EquivariantFunction, var: str) -> list:
     return out
 
 
-def _derive_into(terms, f: EquivariantFunction, var: str, poly) -> None:
-    """Add poly * df/dvar into ``terms``, for ``poly`` a plain polynomial's
-    term dict: the lowered terms of f, plus f times i*m along theta or
-    times the weight factor's log-derivative along a chart variable."""
-    log = {}
-    if var == THETA:
-        if f.theta_weight:
-            log = {_MONOMIAL_UNIT: _C_I.scaled(f.theta_weight)}
-    elif f.weight_factor is not None:
-        log = f.weight_factor.log_derivative(var)._terms
-    poly = list(poly.items())
-    _add_product(terms, _lowered(f, var), poly)
-    if log:
-        weighted: dict[Monomial, Coefficient] = {}
-        _add_product(weighted, log.items(), poly)
-        _add_product(terms, f._terms.items(), weighted.items())
+def _derive_into(terms, f: EquivariantFunction, coeffs) -> None:
+    """Add sum_v c_v * df/dv into ``terms``, for ``coeffs`` the pairs
+    (v, c_v) with c_v a plain polynomial's term dict: each c_v times the
+    lowered terms of f, then f times the one multiplier
+    M = sum_v c_v * log_v, where log_theta = i*m and log_v is the weight
+    factor's log-derivative.  When M cancels, as along the polarized
+    directions of the standard waves, f is not multiplied at all."""
+    multiplier: dict[Monomial, Coefficient] = {}
+    for var, poly in coeffs:
+        if var == THETA:
+            log = {_MONOMIAL_UNIT: _C_I.scaled(f.theta_weight)} if f.theta_weight else None
+        else:
+            log = f.weight_factor.log_derivative(var)._terms if f.weight_factor else None
+        if log:
+            _add_product(multiplier, poly.items(), log.items())
+        _add_product(terms, _lowered(f, var), poly.items())
+    if multiplier:
+        _add_product(terms, f._terms.items(), multiplier.items())
 
 
 def add_into(table: dict, key, f: EquivariantFunction) -> None:
@@ -624,8 +626,7 @@ class Derivation(Frozen):
         if f.chart is not self.chart and f.chart != self.chart:
             raise ChartError("derivation and function live on different charts")
         terms: dict[Monomial, Coefficient] = {}
-        for v, poly in self.coeffs.items():
-            _derive_into(terms, f, v, poly._terms)
+        _derive_into(terms, f, [(v, poly._terms) for v, poly in self.coeffs.items()])
         return _make(self.chart, terms, f.theta_weight, f.jet_vars, f.weight_factor)
 
     def __add__(self, other: "Derivation") -> "Derivation":

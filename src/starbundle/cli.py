@@ -76,16 +76,9 @@ class RunConfig:
         return Chart.bargmann() if self.chart_kind == "bargmann" else Chart.real(self.dim)
 
     def representation(self) -> Representation:
-        chart = self.chart()
-        name = self.rep
-        if name is None:
-            if chart.kind == "bargmann":
-                name = "bargmann"
-            elif self.product == "antinormal":
-                name = "momentum"
-            else:
-                name = "position"
-        return Representation.named(name, chart)
+        if self.rep is None:
+            return Representation.default(self.chart(), self.product)
+        return Representation.named(self.rep, self.chart())
 
 
 def _config_from_args(args) -> RunConfig:

@@ -143,17 +143,17 @@ class Chart(Frozen):
     def vertical_polarization(self) -> "Polarization":
         if self.kind != "real":
             raise ChartError("vertical polarization is defined on real charts")
-        return Polarization("J", self, self.momentum_vars)
+        return chart_cache(Polarization, "J", self, self.momentum_vars)
 
     def horizontal_polarization(self) -> "Polarization":
         if self.kind != "real":
             raise ChartError("horizontal polarization is defined on real charts")
-        return Polarization("K", self, self.position_vars)
+        return chart_cache(Polarization, "K", self, self.position_vars)
 
     def antiholomorphic_polarization(self) -> "Polarization":
         if self.kind != "bargmann":
             raise ChartError("antiholomorphic polarization needs the bargmann chart")
-        return Polarization("J", self, ("zb",))
+        return chart_cache(Polarization, "J", self, ("zb",))
 
 
 # -- structure built once per chart ---------------------------------------
@@ -164,10 +164,11 @@ CHART_CACHE_SIZE = 64
 
 @lru_cache(maxsize=CHART_CACHE_SIZE)
 def chart_cache(build, *key):
-    """``build(*key)`` for a key of a chart, or of a product kind and a
-    chart: the connection and lifted coordinate fields here, the product
+    """``build(*key)`` for a key that holds a chart and whatever else
+    names the value: the connection, lifted coordinate fields,
+    polarizations and generic prequantum wave here, the product
     drivers in :mod:`starbundle.products` and the named representations
-    in :mod:`starbundle.operators`.
+    in :mod:`starbundle.operators`, each with its generic wave.
 
     What it returns depends only on the key and is immutable, so every
     caller and every thread may share it.  Two threads that miss the
@@ -266,19 +267,23 @@ def souriau_bracket(
     """The lifted-bivector bracket of two functions on the bundle.
 
     Adds c * (lu f * lv g - lv f * lu g) for each bracket pair (c, u, v)
-    into one term dict.  Bilinear and antisymmetric, satisfies the Leibniz
+    into one term dict, lifting g only along the slots where f's lift
+    is nonzero.  Bilinear and antisymmetric, satisfies the Leibniz
     rule in each slot, reduces to the Poisson bracket on theta-independent
     functions, but fails the Jacobi identity (see the jacobiator).
     """
     if f.chart != chart or g.chart != chart:
         raise ChartError("bracket arguments must live on the given chart")
+    lifts = chart_cache(_connection, chart).lifts
     terms, jets = {}, ()
     for scale, u, v in chart.bracket_pairs:
-        lu = horizontal_lift(chart, u)
-        lv = horizontal_lift(chart, v)
         scale = Coefficient.coerce(scale)
-        jets = _product_into(terms, lu(f), lv(g), scale, jets)
-        jets = _product_into(terms, lv(f), lu(g), -scale, jets)
+        for a, b, c in ((u, v, scale), (v, u, -scale)):
+            left = lifts[a](f)
+            if not left.is_zero():
+                jets = _product_into(terms, left, lifts[b](g), c, jets)
+            elif g.weight_factor is not None:
+                g.weight_factor.log_derivative(b)  # raises where lifts[b](g) would
     return _make(chart, terms, f.theta_weight + g.theta_weight, jets,
                  f.weight_factor or g.weight_factor)
 
@@ -330,60 +335,50 @@ def bargmann_gaussian(chart: Chart) -> WeightFactor:
     return WeightFactor("exp(-z*zb/(4*hbar))", table)
 
 
-def _as_component(chart, jet_vars, component):
+def _wave(chart, jet_vars, component=None, factor=None) -> EquivariantFunction:
+    """component e^{i theta} times the factor; by default the component is
+    a generic jet over ``jet_vars``."""
     if component is None:
-        return EquivariantFunction.jet(chart, jet_vars)
-    if component.theta_weight or component.weight_factor is not None:
+        component = EquivariantFunction.jet(chart, jet_vars)
+    elif component.theta_weight or component.weight_factor is not None:
         raise ChartError("wave components carry no angular weight or factor")
-    if component.jet_vars and component.jet_vars != tuple(jet_vars):
+    elif component.jet_vars and component.jet_vars != tuple(jet_vars):
         raise ChartError("wave component uses a different jet family")
-    return component
+    return EquivariantFunction(
+        chart, component.terms, theta_weight=1,
+        jet_vars=component.jet_vars or jet_vars, weight_factor=factor,
+    )
 
 
 def position_wave(chart: Chart, component=None) -> EquivariantFunction:
     """psi(q) e^{i theta}; by default psi is a generic jet."""
     if chart.kind != "real":
         raise ChartError("position waves live on real charts")
-    body = _as_component(chart, chart.position_vars, component)
-    return EquivariantFunction(
-        chart, body.terms, theta_weight=1,
-        jet_vars=body.jet_vars or chart.position_vars,
-    )
+    return _wave(chart, chart.position_vars, component)
 
 
 def momentum_wave(chart: Chart, component=None) -> EquivariantFunction:
     """phi(p) e^{i(p.q/hbar + theta)}; by default phi is a generic jet."""
     if chart.kind != "real":
         raise ChartError("momentum waves live on real charts")
-    body = _as_component(chart, chart.momentum_vars, component)
-    return EquivariantFunction(
-        chart, body.terms, theta_weight=1,
-        jet_vars=body.jet_vars or chart.momentum_vars,
-        weight_factor=momentum_phase(chart),
-    )
+    return _wave(chart, chart.momentum_vars, component, momentum_phase(chart))
 
 
 def bargmann_wave(chart: Chart, component=None) -> EquivariantFunction:
     """psi(z) exp(-z*zb/(4 hbar)) e^{i theta}; by default psi is a generic jet."""
     if chart.kind != "bargmann":
         raise ChartError("holomorphic waves live on the bargmann chart")
-    body = _as_component(chart, ("z",), component)
-    return EquivariantFunction(
-        chart, body.terms, theta_weight=1,
-        jet_vars=body.jet_vars or ("z",),
-        weight_factor=bargmann_gaussian(chart),
-    )
+    return _wave(chart, ("z",), component, bargmann_gaussian(chart))
 
 
 def prequantum_wave(chart: Chart, component=None) -> EquivariantFunction:
-    """psi(p,q) e^{i theta} with a generic (unpolarized) jet component."""
+    """psi(p,q) e^{i theta}; by default psi is a generic (unpolarized) jet,
+    and that wave is built once per chart in the chart cache."""
     if chart.kind != "real":
         raise ChartError("prequantum generic waves are built on real charts")
-    body = _as_component(chart, chart.variables, component)
-    return EquivariantFunction(
-        chart, body.terms, theta_weight=1,
-        jet_vars=body.jet_vars or chart.variables,
-    )
+    if component is None:
+        return chart_cache(_wave, chart, chart.variables)
+    return _wave(chart, chart.variables, component)
 
 
 # -- affine chart changes -------------------------------------------------

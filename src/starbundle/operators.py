@@ -23,14 +23,15 @@ from .geometry import (
     momentum_wave,
     position_wave,
 )
-from .products import quantize
+from .products import StarKind, quantize
 from .scalars import Coefficient
 
 
 class Representation(Frozen):
-    """A choice of configuration variables, wave-function shape and polarization."""
+    """A choice of configuration variables, wave-function shape and
+    polarization, holding its generic wave."""
 
-    __slots__ = ("name", "chart", "config_vars", "polarization", "_wave_builder")
+    __slots__ = ("name", "chart", "config_vars", "polarization", "_wave_builder", "_generic")
 
     def __init__(self, name: str, chart: Chart, config_vars, polarization: Polarization, wave_builder):
         object.__setattr__(self, "name", name)
@@ -38,6 +39,7 @@ class Representation(Frozen):
         object.__setattr__(self, "config_vars", tuple(config_vars))
         object.__setattr__(self, "polarization", polarization)
         object.__setattr__(self, "_wave_builder", wave_builder)
+        object.__setattr__(self, "_generic", wave_builder(chart))
 
     @staticmethod
     def position(chart: Chart) -> "Representation":
@@ -67,11 +69,21 @@ class Representation(Frozen):
             raise ChartError(f"unknown representation {name!r}")
         return chart_cache(getattr(Representation, name), chart)
 
+    @staticmethod
+    def default(chart: Chart, kind) -> "Representation":
+        """The named representation a product kind quantizes in when none
+        is given: bargmann on the bargmann chart, else momentum for the
+        antinormal product and position for the others."""
+        kind = StarKind.coerce(kind)
+        if chart.kind == "bargmann":
+            return Representation.named("bargmann", chart)
+        return Representation.named("momentum" if kind == StarKind.ANTINORMAL else "position", chart)
+
     def wave(self, component=None) -> EquivariantFunction:
-        return self._wave_builder(self.chart, component)
+        return self._generic if component is None else self._wave_builder(self.chart, component)
 
     def generic_wave(self) -> EquivariantFunction:
-        return self._wave_builder(self.chart)
+        return self._generic
 
     def __eq__(self, other):
         if not isinstance(other, Representation):

@@ -397,6 +397,8 @@ class LoweringContext:
             raise ParseError(
                 f"this power makes an exponent longer than MAX_DIGITS = {MAX_DIGITS} digits"
             )
+        if e == 0:
+            return _C_ONE, (), (), 0
         if not single:
             if e < 0:
                 raise ParseError("negative powers are only defined for "
@@ -414,8 +416,6 @@ class LoweringContext:
                 raise ParseError("negative powers are only defined for single-term scalars")
             k, c = entries[0]
             scalar, e = Coefficient({-k: GaussianRational(1) / c}), -e
-        if e == 0:
-            return _C_ONE, (), (), 0
         return (scalar ** e, tuple((v, x * e) for v, x in variables),
                 tuple((alpha, x * e) for alpha, x in jets), weight * e)
 

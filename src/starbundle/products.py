@@ -23,7 +23,9 @@ from math import factorial
 
 from .algebra import THETA, EquivariantFunction, Frozen, Monomial, _make, _product_into, add_into
 from .errors import ChartError, LimitError, ObservableError, PolarizationError
-from .geometry import Chart, Polarization, chart_cache, horizontal_lift, polarization_witness
+from .geometry import (
+    Chart, Polarization, chart_cache, horizontal_lift, polarization_witness, souriau_bracket,
+)
 from .scalars import (
     C_ONE,
     Coefficient,
@@ -289,8 +291,6 @@ def bullet_product(kind, f: EquivariantFunction, g: EquivariantFunction) -> Equi
 
 def prequantize(chart: Chart, observable: EquivariantFunction, psi: EquivariantFunction) -> EquivariantFunction:
     """F Psi + (hbar/i) [[F, Psi]] -- the prequantum operator of F on Psi."""
-    from .geometry import souriau_bracket
-
     _require_observable(observable, "prequantized observable")
     if psi.is_zero():
         return psi
@@ -300,12 +300,10 @@ def prequantize(chart: Chart, observable: EquivariantFunction, psi: EquivariantF
 
 
 def default_polarization(chart: Chart, kind) -> Polarization:
-    kind = StarKind.coerce(kind)
-    if chart.kind == "bargmann":
-        return chart.antiholomorphic_polarization()
-    if kind == StarKind.ANTINORMAL:
-        return chart.horizontal_polarization()
-    return chart.vertical_polarization()
+    """The polarization of :meth:`Representation.default`."""
+    from .operators import Representation  # operators imports this module
+
+    return Representation.default(chart, kind).polarization
 
 
 def quantize(

@@ -11,9 +11,10 @@ import pytest
 
 from starbundle import Chart, EquivariantFunction, format_function, souriau_bracket
 from starbundle.checks import CheckResult
-from starbundle.cli import MAX_DEGREE, main
+from starbundle.cli import MAX_DEGREE, RunConfig, main
 from starbundle.emit import emit_json
 from starbundle.geometry import chart_cache
+from starbundle.products import StarKind, default_polarization
 from starbundle.scalars import HBAR_OVER_I
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -303,6 +304,16 @@ class TestCommands:
         first = run_cli(["check", "--suite", "adjoint,inversep", "--seed", "11"])
         second = run_cli(["check", "--suite", "adjoint,inversep", "--seed", "11"])
         assert first == second
+
+
+class TestDefaultRepresentation:
+    @pytest.mark.parametrize("chart_kind, dim", [("real", 1), ("real", 3), ("bargmann", 1)])
+    @pytest.mark.parametrize("product", [kind.value for kind in StarKind])
+    def test_default_polarization_is_the_cli_representations(self, chart_kind, dim, product):
+        config = RunConfig(dim=dim, chart_kind=chart_kind, product=product)
+        polarization = default_polarization(config.chart(), product)
+        assert polarization is config.representation().polarization
+        assert polarization is default_polarization(config.chart(), StarKind(product))
 
 
 class TestStartup:

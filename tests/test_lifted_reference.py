@@ -24,6 +24,7 @@ from starbundle import (
     Derivation,
     EquivariantFunction,
     GaussianRational,
+    WeightFactor,
     bargmann_gaussian,
     driver_tensor,
     horizontal_lift,
@@ -179,6 +180,31 @@ def _charts():
     return st.sampled_from(sorted(CHARTS)).map(CHARTS.get)
 
 
+def _polarized_directions(chart):
+    """The directions along which the lifted field's multiplier cancels on
+    the chart's standard weight factor at angular weight 1."""
+    return chart.position_vars if chart.kind == "real" else ("zb",)
+
+
+def _partial_factor(chart, missing):
+    """The chart's weight factor with the log-derivative of ``missing`` left out."""
+    table = dict(_factor(chart).log_derivatives)
+    del table[missing]
+    return WeightFactor("partial", table)
+
+
+@st.composite
+def _with_factor(draw, chart, weight=None, partial=False):
+    """A drawn function carrying the chart's weight factor, or the factor
+    without one variable's entry, at the given angular weight."""
+    f = draw(_functions(chart))
+    factor = _factor(chart)
+    if partial:
+        factor = _partial_factor(chart, draw(st.sampled_from(chart.variables)))
+    return EquivariantFunction(chart, f.terms, theta_weight=f.theta_weight if weight is None
+                               else weight, jet_vars=f.jet_vars, weight_factor=factor)
+
+
 @st.composite
 def _derivations(draw, chart):
     keys = draw(st.lists(st.sampled_from(list(chart.variables) + [THETA]),
@@ -214,6 +240,26 @@ class TestDerivationReference:
         var = data.draw(st.sampled_from(chart.variables))
         lift = horizontal_lift(chart, var)
         assert lift(f) == _reference_apply(lift, f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cancelling_multipliers_equal_the_fold(self, data):
+        # the momentum phase along q_k and the Gaussian along zb cancel
+        # against the connection term at angular weight 1
+        chart = data.draw(_charts())
+        f = data.draw(_with_factor(chart, weight=1))
+        lift = horizontal_lift(chart, data.draw(st.sampled_from(_polarized_directions(chart))))
+        assert lift(f) == _reference_apply(lift, f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_missing_log_derivative_raises_as_in_the_fold(self, data):
+        chart = data.draw(_charts())
+        f = data.draw(_with_factor(chart, partial=True))
+        d = data.draw(_derivations(chart))
+        var = data.draw(st.sampled_from(chart.variables))
+        assert _outcome(d, f) == _outcome(_reference_apply, d, f)
+        assert _outcome(f.differentiate, var) == _outcome(_reference_differentiate, f, var)
 
     def test_unknown_variable_refused(self):
         with pytest.raises(ChartError, match="unknown variable"):
@@ -283,6 +329,28 @@ class TestBracketReference:
         f = data.draw(_functions(chart))
         g = data.draw(_functions(chart))
         assert _outcome(souriau_bracket, chart, f, g) == _outcome(_reference_bracket, chart, f, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bracket_with_a_missing_log_derivative_equals_the_reference(self, data):
+        chart = data.draw(_charts())
+        f = data.draw(_with_factor(chart, partial=True) | _functions(chart))
+        g = data.draw(_with_factor(chart, partial=True) | _functions(chart))
+        assert _outcome(souriau_bracket, chart, f, g) == _outcome(_reference_bracket, chart, f, g)
+
+    @pytest.mark.parametrize("name", sorted(CHARTS))
+    def test_constant_f_still_lifts_g_for_its_errors(self, name):
+        # lv(g) is skipped when lu(f) vanishes, yet the missing entry
+        # must raise just as lv(g) did
+        chart = CHARTS[name]
+        f = chart.constant(3)
+        for missing in chart.variables:
+            g = EquivariantFunction(chart, chart.var(chart.variables[0]).terms, theta_weight=1,
+                                    weight_factor=_partial_factor(chart, missing))
+            got = _outcome(souriau_bracket, chart, f, g)
+            assert got == _outcome(_reference_bracket, chart, f, g)
+            assert got == ("WeightFactorError", "weight factor 'partial' has no "
+                           f"log-derivative entry for {missing!r}")
 
     def test_two_weight_factors_raise_as_before(self):
         chart = CHARTS["real1"]

@@ -11,11 +11,15 @@ from starbundle import (
     DiffOperator,
     EquivariantFunction,
     Representation,
+    bargmann_wave,
     extract_operator,
+    momentum_wave,
     position_wave,
+    prequantum_wave,
     quantize,
     star_product,
 )
+from starbundle.geometry import chart_cache
 from starbundle.scalars import HBAR_OVER_I
 
 CH = Chart.real(1)
@@ -164,3 +168,32 @@ class TestRepresentationSurface:
 
         with pytest.raises(PolarizationError):
             extract("antinormal", CH.var("p1"), POSITION)
+
+
+class TestCachedWaves:
+    @pytest.mark.parametrize("name, chart, build", [
+        ("position", Chart.real(3), position_wave),
+        ("momentum", Chart.real(3), momentum_wave),
+        ("bargmann", BC, bargmann_wave),
+    ])
+    def test_generic_wave_is_built_once_and_equals_a_fresh_one(self, name, chart, build):
+        rep = Representation.named(name, chart)
+        wave = rep.generic_wave()
+        assert rep.generic_wave() is wave
+        assert rep.wave() is wave
+        assert Representation.named(name, chart).generic_wave() is wave
+        assert wave == build(chart)
+        chart_cache.cache_clear()
+        rebuilt = Representation.named(name, chart).generic_wave()
+        assert rebuilt is not wave
+        assert rebuilt == wave == build(chart)
+
+    def test_generic_prequantum_wave_is_built_once_and_equals_a_fresh_one(self):
+        chart = Chart.real(3)
+        wave = prequantum_wave(chart)
+        assert prequantum_wave(Chart.real(3)) is wave
+        assert wave == prequantum_wave(chart, EquivariantFunction.jet(chart, chart.variables))
+        chart_cache.cache_clear()
+        rebuilt = prequantum_wave(chart)
+        assert rebuilt is not wave
+        assert rebuilt == wave

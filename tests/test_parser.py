@@ -303,6 +303,7 @@ class TestLoweringReference:
         "(i*p1)^65", "(2*p1)^65", "(p1 + q1)^65", "0*(p1 + 1)^64*(q1 + 1)^64",
         "(p1 + 1)^64*(q1 + 1)^15", "(p1 + 1)^64*(q1 + 1)^14*p2", "psi(1,0)^2*e(1)*q1^0",
         "-(p1 - q1)*(p1 + q1) + p1^2", "3/4*(1/2 - i)^2*hbar^-1", "(e(1))^-1",
+        "((0 + 0)^0)^-1", "((p1 + q1)^0)^-2*e(1)", "(p1 - p1)^0*psi(1,0)",
     ])
     def test_edge_cases_equal_the_fold(self, text):
         ast = parse_expression(text, CH2)
