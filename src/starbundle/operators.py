@@ -3,17 +3,22 @@
 Quantizing an observable against a generic-jet wave function produces a
 function linear in the jet symbols; reading off their coefficients
 yields a differential operator in the configuration variables of the
-representation.  Operators compose exactly and admit a formal adjoint
-(integration by parts with real configuration variables), which is how
-symmetry statements are checked without any Hilbert-space analysis.
+representation.  Through the symbol s_A = sum_a c_a(x) xi^a of
+A = sum_a c_a(x) d^a, xi the bracket partners of x, operators compose
+exactly, by the star series sum_g (1/g!) d_xi^g s_A d_x^g s_B, and admit
+a formal adjoint of symbol exp(sum_k d_x_k d_xi_k) conj(s_A)(x, -xi)
+(integration by parts with real x), which is how symmetry statements
+are checked without any Hilbert-space analysis.
 """
 
 from __future__ import annotations
 
-from math import comb
+import operator
 from types import MappingProxyType
 
-from .algebra import EquivariantFunction, Frozen, Monomial, add_into, higher_derivative
+from .algebra import (
+    EquivariantFunction, Frozen, Monomial, _make, _monomial, add_into, higher_derivative,
+)
 from .errors import ChartError, ExtractionError
 from .geometry import (
     Chart,
@@ -23,20 +28,24 @@ from .geometry import (
     momentum_wave,
     position_wave,
 )
-from .products import StarKind, quantize
-from .scalars import Coefficient
+from .products import StarKind, driver_tensor, exponential_product, laplacian_exponential, quantize
+from .scalars import C_ONE, Coefficient, GaussianRational
 
 
 class Representation(Frozen):
     """A choice of configuration variables, wave-function shape and
     polarization, holding its generic wave."""
 
-    __slots__ = ("name", "chart", "config_vars", "polarization", "_wave_builder", "_generic")
+    __slots__ = ("name", "chart", "config_vars", "dual_vars", "polarization", "_wave_builder",
+                 "_generic")
 
     def __init__(self, name: str, chart: Chart, config_vars, polarization: Polarization, wave_builder):
+        partner = {x: y for _, u, v in chart.bracket_pairs for x, y in ((u, v), (v, u))}
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "config_vars", tuple(config_vars))
+        # the symbol variable xi_k of d/dx_k is x_k's partner in a bracket pair
+        object.__setattr__(self, "dual_vars", tuple(partner[x] for x in self.config_vars))
         object.__setattr__(self, "polarization", polarization)
         object.__setattr__(self, "_wave_builder", wave_builder)
         object.__setattr__(self, "_generic", wave_builder(chart))
@@ -109,7 +118,12 @@ class DiffOperator(Frozen):
         object.__setattr__(self, "rep", rep)
         clean = {}
         for alpha, poly in terms.items():
-            alpha = tuple(int(x) for x in alpha)
+            try:
+                alpha = tuple(map(operator.index, alpha))
+            except TypeError:
+                alpha = None
+            if alpha is None or min(alpha, default=0) < 0:
+                raise ChartError("derivative multi-index entries must be non-negative integers")
             if len(alpha) != len(rep.config_vars):
                 raise ChartError("derivative multi-index does not match the representation")
             if not poly.is_zero():
@@ -127,8 +141,7 @@ class DiffOperator(Frozen):
 
     @staticmethod
     def identity(rep: Representation) -> "DiffOperator":
-        zero_alpha = (0,) * len(rep.config_vars)
-        return DiffOperator(rep, {zero_alpha: rep.chart.one()})
+        return DiffOperator.from_symbol(rep, rep.chart.one())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -161,50 +174,56 @@ class DiffOperator(Frozen):
             out = out + poly * higher_derivative(component, self.rep.config_vars, alpha)
         return out
 
+    def symbol(self) -> EquivariantFunction:
+        """sum_a c_a(x) xi^a, xi the dual variables of the representation."""
+        terms = {}
+        for alpha, poly in self.terms.items():
+            xi = tuple(zip(self.rep.dual_vars, alpha))
+            for mono, coeff in poly.terms.items():
+                terms[Monomial(mono.vars + xi)] = coeff
+        return _make(self.rep.chart, terms, 0, (), None)
+
+    @staticmethod
+    def from_symbol(rep: Representation, s: EquivariantFunction) -> "DiffOperator":
+        """The operator sum_a c_a(x) d^a of the symbol sum_a c_a(x) xi^a."""
+        if not s.is_observable() or s.chart != rep.chart:
+            raise ChartError("a symbol is a plain polynomial on the representation's chart")
+        dual = rep.dual_vars
+        entries = []
+        for mono, coeff in s.terms.items():
+            powers = dict(mono.vars)
+            config = _monomial(tuple(item for item in mono.vars if item[0] not in dual), ())
+            entries.append((tuple(powers.get(xi, 0) for xi in dual), config, coeff))
+        return _collect(rep, entries)
+
     def compose(self, other: "DiffOperator") -> "DiffOperator":
-        """Operator composition, re-expressed in normal form via the Leibniz rule."""
+        """Operator composition in normal form: the composite's symbol
+        sum_g (1/g!) d_xi^g s_A d_x^g s_B is the star series of ``_COMPOSE``,
+        which raises :class:`LimitError` past ``products.MAX_SERIES_WORK``."""
         if self.rep != other.rep:
             raise ChartError("cannot compose operators in different representations")
-        config = self.rep.config_vars
-        terms: dict[tuple, EquivariantFunction] = {}
-        for alpha, c in self.terms.items():
-            for beta, d in other.terms.items():
-                for gamma in _multi_range(alpha):
-                    dg = higher_derivative(d, config, gamma)
-                    if dg.is_zero():
-                        continue
-                    binom = 1
-                    for a_i, g_i in zip(alpha, gamma):
-                        binom *= comb(a_i, g_i)
-                    new_alpha = tuple(a_i - g_i + b_i for a_i, g_i, b_i in zip(alpha, gamma, beta))
-                    add_into(terms, new_alpha, c * dg * binom)
-        return DiffOperator(self.rep, terms)
+        kind, c = _COMPOSE[self.rep.name]
+        driver = driver_tensor(kind, self.rep.chart)
+        return DiffOperator.from_symbol(
+            self.rep, exponential_product(driver, self.symbol(), other.symbol(), c))
 
     def adjoint(self) -> "DiffOperator":
         """Formal adjoint: (d/dx)^dagger = -d/dx, (x.)^dagger = x., scalars conjugated.
 
-        Only meaningful where the configuration variables are real,
-        i.e. in the position and momentum representations.
+        Its symbol is exp(-Laplacian) conj(s_A)(x, -xi), where -Laplacian =
+        sum_k d_x_k d_xi_k.  Only meaningful where the configuration
+        variables are real, i.e. in the position and momentum representations.
         """
-        if self.rep.chart.kind != "real":
+        chart = self.rep.chart
+        if chart.kind != "real":
             raise ChartError("the formal adjoint is defined for real-chart representations")
-        config = self.rep.config_vars
-        terms: dict[tuple, EquivariantFunction] = {}
-        for alpha, c in self.terms.items():
-            sign = -1 if sum(alpha) % 2 else 1
-            cbar = EquivariantFunction(
-                self.rep.chart, {m: v.conjugate() for m, v in c.terms.items()},
-            )
-            for gamma in _multi_range(alpha):
-                cg = higher_derivative(cbar, config, gamma)
-                if cg.is_zero():
-                    continue
-                binom = 1
-                for a_i, g_i in zip(alpha, gamma):
-                    binom *= comb(a_i, g_i)
-                new_alpha = tuple(a_i - g_i for a_i, g_i in zip(alpha, gamma))
-                add_into(terms, new_alpha, cg * (binom * sign))
-        return DiffOperator(self.rep, terms)
+        dual = self.rep.dual_vars
+        reflected = {}  # conj(s_A)(x, -xi)
+        for mono, coeff in self.symbol().terms.items():
+            odd = sum(e for v, e in mono.vars if v in dual) % 2
+            reflected[mono] = (-coeff if odd else coeff).conjugate()
+        s = laplacian_exponential(chart, _make(chart, reflected, 0, (), None), -C_ONE)
+        return DiffOperator.from_symbol(self.rep, s)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0])
@@ -225,37 +244,37 @@ class DiffOperator(Frozen):
         return format_operator(self)
 
 
-def _multi_range(alpha):
-    """All multi-indices gamma with 0 <= gamma <= alpha componentwise."""
-    if not alpha:
-        yield ()
-        return
-    head, tail = alpha[0], alpha[1:]
-    for g in range(head + 1):
-        for rest in _multi_range(tail):
-            yield (g,) + rest
+# Each representation's standard driver, whose pairs are (b d/dxi_k, d/dx_k),
+# and c = 1/b, so exp(c Lambda) is exp(sum_k d/dxi_k (x) d/dx_k): normal
+# (d/dp_k, d/dq_k), antinormal (-d/dq_k, d/dp_k) and wick (2i d/dzb, d/dz).
+_COMPOSE = {
+    "position": (StarKind.NORMAL, C_ONE),
+    "momentum": (StarKind.ANTINORMAL, -C_ONE),
+    "bargmann": (StarKind.WICK, Coefficient.coerce(GaussianRational(0, -1) / 2)),
+}
+
+
+def _collect(rep: Representation, entries) -> DiffOperator:
+    """The operator whose d^alpha coefficient is the sum of coeff * mono over
+    the (alpha, mono, coeff) entries, no two with the same alpha and mono."""
+    terms: dict[tuple, dict] = {}
+    for alpha, mono, coeff in entries:
+        terms.setdefault(alpha, {})[mono] = coeff
+    return DiffOperator(rep, {a: _make(rep.chart, t, 0, (), None) for a, t in terms.items()})
 
 
 def extract_operator(kind, observable: EquivariantFunction, rep: Representation) -> DiffOperator:
     """Quantize against the generic jet of the representation and read off
     the coefficient of each jet symbol."""
     out = quantize(kind, observable, rep.generic_wave(), rep.polarization)
-    chart = rep.chart
     allowed = set(rep.config_vars)
-    collected: dict[tuple, dict[Monomial, Coefficient]] = {}
+    entries = []
     for mono, coeff in out.terms.items():
         if len(mono.jets) != 1 or mono.jets[0][1] != 1:
             raise ExtractionError("quantization output is not linear in the jet symbols")
         alpha = mono.jets[0][0]
-        config_mono = Monomial(mono.vars)
-        if set(config_mono.var_map()) - allowed:
+        if set(mono.var_map()) - allowed:
             raise ExtractionError(
-                f"coefficient of jet {alpha} involves non-configuration variables"
-            )
-        bucket = collected.setdefault(alpha, {})
-        bucket[config_mono] = bucket.get(config_mono, Coefficient.zero()) + coeff
-    terms = {
-        alpha: EquivariantFunction(chart, bucket) for alpha, bucket in collected.items()
-    }
-    return DiffOperator(rep, terms)
-
+                f"coefficient of jet {alpha} involves non-configuration variables")
+        entries.append((alpha, _monomial(mono.vars, ()), coeff))
+    return _collect(rep, entries)

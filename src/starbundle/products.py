@@ -218,7 +218,9 @@ def _require_observable(f: EquivariantFunction, what: str):
 # for every product a * b it forms, f * g included.  The largest count
 # measured on the benchmark workloads, `dq check --suite all --max-degree 6`,
 # the golden files and the acceptance tests is 26,663 (a degree-12 normal
-# star product on the real line), under a quarter of this bound.
+# star product on the real line), under a quarter of this bound; that of
+# `DiffOperator.compose`, a series on symbols, is 4,917 on the benchmark
+# workloads, 26 in `dq check --suite all` (any --max-degree), 38 in tier-1.
 MAX_SERIES_WORK = 120_000
 
 
@@ -351,10 +353,23 @@ def yano_laplacian(chart: Chart, f: EquivariantFunction) -> EquivariantFunction:
     """-sum c d2/du dv over the chart's bracket pairs (c, u, v): -sum_k
     d2/dp_k dq^k on real charts, -2i d2/dzb dz on the bargmann chart."""
     _require_observable(f, "Laplacian argument")
+    if f.chart != chart:
+        raise ChartError(f"Laplacian argument lives on {f.chart}, not on {chart}")
     out = EquivariantFunction.zero(chart)
     for c, u, v in chart.bracket_pairs:
         out = out - f.differentiate(u).differentiate(v) * c
     return out
+
+
+def laplacian_exponential(chart: Chart, f: EquivariantFunction, s: Coefficient):
+    """exp(s * Laplacian) f = sum_k (s^k / k!) Laplacian^k f, a finite sum: each
+    Laplacian lowers the degree by two.  The last order taken is zero; it
+    runs the Laplacian's checks on f even when f is constant."""
+    total = term = f
+    for k in range(1, f.chart_degree() // 2 + 2):
+        term = yano_laplacian(chart, term) * s.scaled(1, k)
+        total = total + term
+    return total
 
 
 def agarwal_transform(chart: Chart, f: EquivariantFunction) -> EquivariantFunction:
@@ -364,17 +379,7 @@ def agarwal_transform(chart: Chart, f: EquivariantFunction) -> EquivariantFuncti
     quantize(moyal, F) = quantize(normal, transform(F)) as operators.
     """
     _require_observable(f, "transform argument")
-    half_i_hbar = Coefficient.hbar(1, GaussianRational(0, Fraction(1, 2)))
-    total = f
-    term = f
-    k = 0
-    while True:
-        term = yano_laplacian(chart, term)
-        if term.is_zero():
-            return total
-        k += 1
-        scale = (half_i_hbar ** k).scaled(1, factorial(k))
-        total = total + term * scale
+    return laplacian_exponential(chart, f, -HALF_HBAR_OVER_I)  # i hbar/2 = -hbar/(2i)
 
 
 def quantize_inverse_p(psi: EquivariantFunction) -> EquivariantFunction:

@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import observables
 from starbundle import (
@@ -10,6 +12,7 @@ from starbundle import (
     Coefficient,
     DiffOperator,
     EquivariantFunction,
+    LimitError,
     Representation,
     bargmann_wave,
     extract_operator,
@@ -19,6 +22,7 @@ from starbundle import (
     quantize,
     star_product,
 )
+from starbundle.algebra import Monomial
 from starbundle.geometry import chart_cache
 from starbundle.scalars import HBAR_OVER_I
 
@@ -168,6 +172,64 @@ class TestRepresentationSurface:
 
         with pytest.raises(PolarizationError):
             extract("antinormal", CH.var("p1"), POSITION)
+
+
+class TestMultiIndices:
+    @pytest.mark.parametrize("alpha", [(-2,), (1.5,), "2", ("1",), (0, -1)])
+    def test_entries_that_are_not_non_negative_integers_are_refused(self, alpha):
+        # int() would read (1.5,) as d/dq1 and "2" as d^2/dq1^2; (-2,) would apply as 1
+        with pytest.raises(ChartError, match="non-negative integers"):
+            DiffOperator(POSITION, {alpha: CH.var("q1")})
+
+    def test_integer_like_entries_are_kept_as_ints(self):
+        op = DiffOperator(POSITION, {(True,): CH.one()})
+        assert list(op.terms) == [(1,)] and type(next(iter(op.terms))[0]) is int
+
+
+class TestSymbols:
+    def test_dual_variables_are_the_bracket_partners(self):
+        assert Representation.position(CH2).dual_vars == ("p1", "p2")
+        assert Representation.momentum(CH2).dual_vars == ("q1", "q2")
+        assert BARGMANN.dual_vars == ("zb",)
+
+    def test_symbol_of_a_normal_form_operator(self):
+        op = DiffOperator(POSITION, {(2,): CH.var("q1") * 3, (0,): CH.constant(HBAR_OVER_I)})
+        assert op.symbol() == CH.var("q1") * CH.var("p1") ** 2 * 3 + CH.constant(HBAR_OVER_I)
+        assert DiffOperator.from_symbol(POSITION, op.symbol()) == op
+
+    @pytest.mark.parametrize("rep", [POSITION, MOMENTUM, BARGMANN,
+                                     Representation.momentum(CH2)], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=20)
+    def test_from_symbol_inverts_symbol(self, rep, data):
+        f = data.draw(observables(rep.chart, max_degree=4))
+        op = DiffOperator.from_symbol(rep, f)
+        assert op.symbol() == f
+        assert DiffOperator.from_symbol(rep, op.symbol()) == op
+
+    def test_from_symbol_refuses_bundle_functions(self):
+        wave = POSITION.generic_wave()
+        with pytest.raises(ChartError, match="plain polynomial"):
+            DiffOperator.from_symbol(POSITION, wave)
+        with pytest.raises(ChartError, match="plain polynomial"):
+            DiffOperator.from_symbol(POSITION, CH2.var("q2"))
+
+
+class TestComposeBound:
+    def test_two_dense_operators_end_in_limit_error(self):
+        # symbols of 20 x 15 = 300 terms: the first product charges 90,000
+        # term pairs, the first order of the series takes the count past
+        # MAX_SERIES_WORK = 120,000
+        dense = DiffOperator(POSITION, {
+            (a,): EquivariantFunction(CH, {Monomial([("q1", e)]): Coefficient.coerce(a + e + 1)
+                                           for e in range(15)})
+            for a in range(20)
+        })
+        assert len(dense.symbol().terms) == 300
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match="MAX_SERIES_WORK"):
+            dense.compose(dense)
+        assert time.perf_counter() - start < 5
 
 
 class TestCachedWaves:
