@@ -19,7 +19,7 @@ from .errors import (
 )
 from .geometry import Chart, prequantum_wave, souriau_bracket
 from .operators import Representation, extract_operator
-from .parser import LoweringContext, parse_expression
+from .parser import lower_expression
 from .products import StarKind, bullet_product, prequantize, quantize, star_product
 from .render import format_function, format_operator
 
@@ -88,9 +88,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _lower(text: str, config: RunConfig, jet_vars=None) -> EquivariantFunction:
-    chart = config.chart()
-    ast = parse_expression(text, chart)
-    return LoweringContext(chart, jet_vars).lower(ast)
+    return lower_expression(text, config.chart(), jet_vars)
 
 
 def _render_function(f: EquivariantFunction, config: RunConfig) -> str:

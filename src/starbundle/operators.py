@@ -3,12 +3,12 @@
 Quantizing an observable against a generic-jet wave function produces a
 function linear in the jet symbols; reading off their coefficients
 yields a differential operator in the configuration variables of the
-representation.  Through the symbol s_A = sum_a c_a(x) xi^a of
-A = sum_a c_a(x) d^a, xi the bracket partners of x, operators compose
-exactly, by the star series sum_g (1/g!) d_xi^g s_A d_x^g s_B, and admit
-a formal adjoint of symbol exp(sum_k d_x_k d_xi_k) conj(s_A)(x, -xi)
-(integration by parts with real x), which is how symmetry statements
-are checked without any Hilbert-space analysis.
+representation.  An operator A = sum_a c_a(x) d^a is stored as its
+symbol s_A = sum_a c_a(x) xi^a, xi the bracket partners of x.  Operators
+compose exactly, by the star series sum_g (1/g!) d_xi^g s_A d_x^g s_B,
+and admit a formal adjoint of symbol exp(sum_k d_x_k d_xi_k)
+conj(s_A)(x, -xi) (integration by parts with real x), which is how
+symmetry statements are checked without any Hilbert-space analysis.
 """
 
 from __future__ import annotations
@@ -16,67 +16,68 @@ from __future__ import annotations
 import operator
 from types import MappingProxyType
 
-from .algebra import (
-    EquivariantFunction, Frozen, Monomial, _make, _monomial, add_into, higher_derivative,
-)
+from .algebra import EquivariantFunction, Frozen, Monomial, _make, _monomial, higher_derivative
 from .errors import ChartError, ExtractionError
-from .geometry import (
-    Chart,
-    Polarization,
-    bargmann_wave,
-    chart_cache,
-    momentum_wave,
-    position_wave,
-)
+from .geometry import Chart, bargmann_wave, chart_cache, momentum_wave, position_wave
 from .products import StarKind, driver_tensor, exponential_product, laplacian_exponential, quantize
 from .scalars import C_ONE, Coefficient, GaussianRational
 
+# Each representation: the chart attribute naming its configuration
+# variables (z is the bargmann chart's momentum variable), its polarization,
+# its wave builder, and the standard driver and constant c = 1/b of its
+# compose series.  The driver's pairs are (b d/dxi_k, d/dx_k), so
+# exp(c Lambda) is exp(sum_k d/dxi_k (x) d/dx_k): normal (d/dp_k, d/dq_k),
+# antinormal (-d/dq_k, d/dp_k) and wick (2i d/dzb, d/dz).
+_REPRESENTATIONS = {
+    "position": ("position_vars", Chart.vertical_polarization, position_wave,
+                 StarKind.NORMAL, C_ONE),
+    "momentum": ("momentum_vars", Chart.horizontal_polarization, momentum_wave,
+                 StarKind.ANTINORMAL, -C_ONE),
+    "bargmann": ("momentum_vars", Chart.antiholomorphic_polarization, bargmann_wave,
+                 StarKind.WICK, Coefficient.coerce(GaussianRational(0, -1) / 2)),
+}
+
 
 class Representation(Frozen):
-    """A choice of configuration variables, wave-function shape and
-    polarization, holding its generic wave."""
+    """The position, momentum or bargmann representation on a chart: its
+    configuration variables, their symbol variables, its polarization and
+    its generic wave."""
 
     __slots__ = ("name", "chart", "config_vars", "dual_vars", "polarization", "_wave_builder",
-                 "_generic")
+                 "_compose", "_generic")
 
-    def __init__(self, name: str, chart: Chart, config_vars, polarization: Polarization, wave_builder):
-        partner = {x: y for _, u, v in chart.bracket_pairs for x, y in ((u, v), (v, u))}
+    def __init__(self, name: str, chart: Chart):
+        try:
+            config, polarize, build, kind, c = _REPRESENTATIONS[name]
+        except KeyError:
+            raise ChartError(f"unknown representation {name!r}") from None
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "config_vars", tuple(config_vars))
+        object.__setattr__(self, "polarization", polarize(chart))
+        object.__setattr__(self, "config_vars", getattr(chart, config))
         # the symbol variable xi_k of d/dx_k is x_k's partner in a bracket pair
+        partner = {x: y for _, u, v in chart.bracket_pairs for x, y in ((u, v), (v, u))}
         object.__setattr__(self, "dual_vars", tuple(partner[x] for x in self.config_vars))
-        object.__setattr__(self, "polarization", polarization)
-        object.__setattr__(self, "_wave_builder", wave_builder)
-        object.__setattr__(self, "_generic", wave_builder(chart))
-
-    @staticmethod
-    def position(chart: Chart) -> "Representation":
-        return Representation(
-            "position", chart, chart.position_vars,
-            chart.vertical_polarization(), position_wave,
-        )
-
-    @staticmethod
-    def momentum(chart: Chart) -> "Representation":
-        return Representation(
-            "momentum", chart, chart.momentum_vars,
-            chart.horizontal_polarization(), momentum_wave,
-        )
-
-    @staticmethod
-    def bargmann(chart: Chart) -> "Representation":
-        return Representation(
-            "bargmann", chart, ("z",),
-            chart.antiholomorphic_polarization(), bargmann_wave,
-        )
+        object.__setattr__(self, "_wave_builder", build)
+        object.__setattr__(self, "_compose", (kind, c))
+        object.__setattr__(self, "_generic", build(chart))
 
     @staticmethod
     def named(name: str, chart: Chart) -> "Representation":
         """The representation of that name, built once per chart in the chart cache."""
-        if name not in ("position", "momentum", "bargmann"):
-            raise ChartError(f"unknown representation {name!r}")
-        return chart_cache(getattr(Representation, name), chart)
+        return chart_cache(Representation, name, chart)
+
+    @staticmethod
+    def position(chart: Chart) -> "Representation":
+        return Representation.named("position", chart)
+
+    @staticmethod
+    def momentum(chart: Chart) -> "Representation":
+        return Representation.named("momentum", chart)
+
+    @staticmethod
+    def bargmann(chart: Chart) -> "Representation":
+        return Representation.named("bargmann", chart)
 
     @staticmethod
     def default(chart: Chart, kind) -> "Representation":
@@ -103,20 +104,29 @@ class Representation(Frozen):
         return f"Representation({self.name!r}, {self.chart!r})"
 
 
-class DiffOperator(Frozen):
-    """sum_alpha c_alpha(x) d^alpha in the configuration variables.
+def _operator(rep: Representation, symbol: EquivariantFunction) -> "DiffOperator":
+    """Trusted constructor: ``symbol`` is a plain polynomial on the
+    representation's chart."""
+    op = object.__new__(DiffOperator)
+    object.__setattr__(op, "rep", rep)
+    object.__setattr__(op, "_symbol", symbol)
+    return op
 
-    Normal form: coefficients to the left of derivatives, terms keyed
-    by the derivative multi-index in a read-only mapping.  Application
+
+class DiffOperator(Frozen):
+    """sum_alpha c_alpha(x) d^alpha in the configuration variables, held as
+    its symbol sum_alpha c_alpha(x) xi^alpha.
+
+    Normal form: coefficients to the left of derivatives.  ``terms`` is
+    the read-only view keyed by the derivative multi-index.  Application
     to a generic jet reproduces the function the operator was extracted
     from.
     """
 
-    __slots__ = ("rep", "terms")
+    __slots__ = ("rep", "_symbol")
 
     def __init__(self, rep: Representation, terms):
-        object.__setattr__(self, "rep", rep)
-        clean = {}
+        symbol = {}
         for alpha, poly in terms.items():
             try:
                 alpha = tuple(map(operator.index, alpha))
@@ -126,86 +136,76 @@ class DiffOperator(Frozen):
                 raise ChartError("derivative multi-index entries must be non-negative integers")
             if len(alpha) != len(rep.config_vars):
                 raise ChartError("derivative multi-index does not match the representation")
-            if not poly.is_zero():
-                self._check_config_poly(poly)
-                clean[alpha] = poly
-        object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    def _check_config_poly(self, poly: EquivariantFunction):
-        if poly.jet_vars or poly.theta_weight or poly.weight_factor is not None:
-            raise ChartError("operator coefficients are plain polynomials")
-        allowed = set(self.rep.config_vars)
-        for mono in poly.terms:
-            if set(mono.var_map()) - allowed:
-                raise ChartError("operator coefficients involve non-configuration variables")
-
-    @staticmethod
-    def identity(rep: Representation) -> "DiffOperator":
-        return DiffOperator.from_symbol(rep, rep.chart.one())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        if self.rep != other.rep:
-            raise ChartError("cannot add operators in different representations")
-        terms = dict(self.terms)
-        for alpha, poly in other.terms.items():
-            add_into(terms, alpha, poly)
-        return DiffOperator(self.rep, terms)
-
-    def __neg__(self):
-        return DiffOperator(self.rep, {a: -p for a, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scale) -> "DiffOperator":
-        scale = Coefficient.coerce(scale)
-        return DiffOperator(self.rep, {a: p * scale for a, p in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def apply_to(self, component: EquivariantFunction) -> EquivariantFunction:
-        """Apply to a concrete jet-free polynomial in the configuration variables."""
-        self._check_config_poly(component)
-        out = EquivariantFunction.zero(self.rep.chart)
-        for alpha, poly in self.terms.items():
-            out = out + poly * higher_derivative(component, self.rep.config_vars, alpha)
-        return out
-
-    def symbol(self) -> EquivariantFunction:
-        """sum_a c_a(x) xi^a, xi the dual variables of the representation."""
-        terms = {}
-        for alpha, poly in self.terms.items():
-            xi = tuple(zip(self.rep.dual_vars, alpha))
+            _check_config_poly(rep, poly)
+            xi = tuple(zip(rep.dual_vars, alpha))
             for mono, coeff in poly.terms.items():
-                terms[Monomial(mono.vars + xi)] = coeff
-        return _make(self.rep.chart, terms, 0, (), None)
+                symbol[Monomial(mono.vars + xi)] = coeff
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "_symbol", _make(rep.chart, symbol, 0, (), None))
 
     @staticmethod
     def from_symbol(rep: Representation, s: EquivariantFunction) -> "DiffOperator":
         """The operator sum_a c_a(x) d^a of the symbol sum_a c_a(x) xi^a."""
         if not s.is_observable() or s.chart != rep.chart:
             raise ChartError("a symbol is a plain polynomial on the representation's chart")
-        dual = rep.dual_vars
-        entries = []
-        for mono, coeff in s.terms.items():
+        return _operator(rep, s)
+
+    def symbol(self) -> EquivariantFunction:
+        """sum_a c_a(x) xi^a, xi the dual variables of the representation."""
+        return self._symbol
+
+    @property
+    def terms(self):
+        """The coefficient c_alpha of each d^alpha, a read-only mapping."""
+        table: dict[tuple, dict] = {}
+        for mono, coeff in self._symbol.terms.items():
             powers = dict(mono.vars)
-            config = _monomial(tuple(item for item in mono.vars if item[0] not in dual), ())
-            entries.append((tuple(powers.get(xi, 0) for xi in dual), config, coeff))
-        return _collect(rep, entries)
+            alpha = tuple([powers.pop(xi, 0) for xi in self.rep.dual_vars])
+            table.setdefault(alpha, {})[_monomial(tuple(powers.items()), ())] = coeff
+        chart = self.rep.chart
+        return MappingProxyType({a: _make(chart, t, 0, (), None) for a, t in table.items()})
+
+    @staticmethod
+    def identity(rep: Representation) -> "DiffOperator":
+        return _operator(rep, rep.chart.one())
+
+    def is_zero(self) -> bool:
+        return self._symbol.is_zero()
+
+    def __add__(self, other: "DiffOperator") -> "DiffOperator":
+        if self.rep != other.rep:
+            raise ChartError("cannot add operators in different representations")
+        return _operator(self.rep, self._symbol + other._symbol)
+
+    def __neg__(self):
+        return _operator(self.rep, -self._symbol)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scale) -> "DiffOperator":
+        return _operator(self.rep, self._symbol * Coefficient.coerce(scale))
+
+    __rmul__ = __mul__
+
+    def apply_to(self, component: EquivariantFunction) -> EquivariantFunction:
+        """Apply to a concrete jet-free polynomial in the configuration variables."""
+        _check_config_poly(self.rep, component)
+        out = EquivariantFunction.zero(self.rep.chart)
+        for alpha, poly in self.terms.items():
+            out = out + poly * higher_derivative(component, self.rep.config_vars, alpha)
+        return out
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """Operator composition in normal form: the composite's symbol
-        sum_g (1/g!) d_xi^g s_A d_x^g s_B is the star series of ``_COMPOSE``,
-        which raises :class:`LimitError` past ``products.MAX_SERIES_WORK``."""
+        sum_g (1/g!) d_xi^g s_A d_x^g s_B is the star series of the
+        representation's compose driver, which raises :class:`LimitError`
+        past ``products.MAX_SERIES_WORK``."""
         if self.rep != other.rep:
             raise ChartError("cannot compose operators in different representations")
-        kind, c = _COMPOSE[self.rep.name]
+        kind, c = self.rep._compose
         driver = driver_tensor(kind, self.rep.chart)
-        return DiffOperator.from_symbol(
-            self.rep, exponential_product(driver, self.symbol(), other.symbol(), c))
+        return _operator(self.rep, exponential_product(driver, self._symbol, other._symbol, c))
 
     def adjoint(self) -> "DiffOperator":
         """Formal adjoint: (d/dx)^dagger = -d/dx, (x.)^dagger = x., scalars conjugated.
@@ -219,11 +219,11 @@ class DiffOperator(Frozen):
             raise ChartError("the formal adjoint is defined for real-chart representations")
         dual = self.rep.dual_vars
         reflected = {}  # conj(s_A)(x, -xi)
-        for mono, coeff in self.symbol().terms.items():
+        for mono, coeff in self._symbol.terms.items():
             odd = sum(e for v, e in mono.vars if v in dual) % 2
             reflected[mono] = (-coeff if odd else coeff).conjugate()
         s = laplacian_exponential(chart, _make(chart, reflected, 0, (), None), -C_ONE)
-        return DiffOperator.from_symbol(self.rep, s)
+        return _operator(self.rep, s)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0])
@@ -231,7 +231,7 @@ class DiffOperator(Frozen):
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        return self.rep == other.rep and self.terms == other.terms
+        return self.rep == other.rep and self._symbol == other._symbol
 
     __hash__ = None
 
@@ -244,31 +244,21 @@ class DiffOperator(Frozen):
         return format_operator(self)
 
 
-# Each representation's standard driver, whose pairs are (b d/dxi_k, d/dx_k),
-# and c = 1/b, so exp(c Lambda) is exp(sum_k d/dxi_k (x) d/dx_k): normal
-# (d/dp_k, d/dq_k), antinormal (-d/dq_k, d/dp_k) and wick (2i d/dzb, d/dz).
-_COMPOSE = {
-    "position": (StarKind.NORMAL, C_ONE),
-    "momentum": (StarKind.ANTINORMAL, -C_ONE),
-    "bargmann": (StarKind.WICK, Coefficient.coerce(GaussianRational(0, -1) / 2)),
-}
-
-
-def _collect(rep: Representation, entries) -> DiffOperator:
-    """The operator whose d^alpha coefficient is the sum of coeff * mono over
-    the (alpha, mono, coeff) entries, no two with the same alpha and mono."""
-    terms: dict[tuple, dict] = {}
-    for alpha, mono, coeff in entries:
-        terms.setdefault(alpha, {})[mono] = coeff
-    return DiffOperator(rep, {a: _make(rep.chart, t, 0, (), None) for a, t in terms.items()})
+def _check_config_poly(rep: Representation, poly: EquivariantFunction):
+    if poly.jet_vars or poly.theta_weight or poly.weight_factor is not None:
+        raise ChartError("operator coefficients are plain polynomials")
+    allowed = set(rep.config_vars)
+    for mono in poly.terms:
+        if set(mono.var_map()) - allowed:
+            raise ChartError("operator coefficients involve non-configuration variables")
 
 
 def extract_operator(kind, observable: EquivariantFunction, rep: Representation) -> DiffOperator:
     """Quantize against the generic jet of the representation and read off
-    the coefficient of each jet symbol."""
+    the coefficient of each jet symbol, straight into the symbol."""
     out = quantize(kind, observable, rep.generic_wave(), rep.polarization)
     allowed = set(rep.config_vars)
-    entries = []
+    symbol = {}
     for mono, coeff in out.terms.items():
         if len(mono.jets) != 1 or mono.jets[0][1] != 1:
             raise ExtractionError("quantization output is not linear in the jet symbols")
@@ -276,5 +266,5 @@ def extract_operator(kind, observable: EquivariantFunction, rep: Representation)
         if set(mono.var_map()) - allowed:
             raise ExtractionError(
                 f"coefficient of jet {alpha} involves non-configuration variables")
-        entries.append((alpha, _monomial(mono.vars, ()), coeff))
-    return _collect(rep, entries)
+        symbol[Monomial(mono.vars + tuple(zip(rep.dual_vars, alpha)))] = coeff
+    return _operator(rep, _make(rep.chart, symbol, 0, (), None))

@@ -61,6 +61,14 @@ GOLDEN_CASES = {
         "prequantize", "--dim", "16",
         "(4+i)*p6*q6*q13 + (2/7*i)*hbar^-1*p14 + (-1+i)*q2^2", "--format", "json",
     ],
+    # a dual variable (zb) on the bargmann chart
+    "extract_wick_zzb2.json": [
+        "extract", "--chart", "bargmann", "--product", "wick", "z*zb^2", "--format", "json",
+    ],
+    # the order of 2-variable multi-indices: (0,0), (1,0), (1,1), (1,2)
+    "extract_moyal_n2.json": [
+        "extract", "--dim", "2", "--product", "moyal", "p1*q2*p2^2 + q1*p1", "--format", "json",
+    ],
 }
 
 
