@@ -47,7 +47,7 @@ from .operators import (
     Representation,
     extract_operator,
 )
-from .parser import lower_expression, parse_expression
+from .parser import lower_expression
 from .products import (
     DriverTensor,
     StarKind,
@@ -103,7 +103,6 @@ __all__ = [
     "lower_expression",
     "momentum_phase",
     "momentum_wave",
-    "parse_expression",
     "position_wave",
     "prequantize",
     "prequantum_wave",

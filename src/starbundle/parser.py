@@ -1,4 +1,4 @@
-"""Expression parser and lowering to equivariant functions.
+"""Expression grammar, read and lowered to equivariant functions in one pass.
 
 Grammar (explicit multiplication; variables are 1-indexed):
 
@@ -9,12 +9,17 @@ Grammar (explicit multiplication; variables are 1-indexed):
               | "psi" "(" UINT ("," UINT)* ")"
               | "e" "(" ["-"] UINT ")"
               | "(" expr ")"
-    VAR      := "p"UINT | "q"UINT | "z" | "zb"
+    VAR      := "p"UINT | "q"UINT | "z" | "zb" | "theta"
     RATIONAL := UINT ["/" UINT]
 
+A ``p``/``q`` index is written canonically: ``p1``, not ``p01``.
 Negative ``^`` exponents are accepted so that Laurent powers of hbar
 round-trip through the printer; they lower successfully only on
 invertible scalar subexpressions.
+
+Each grammar rule returns its lowered value, and each lowering check
+runs as soon as its construct (atom, power, product or summand) has
+been read, so the first error in reading order is the one reported.
 
 Limits keep hostile input bounded: parentheses nest at most
 ``MAX_NESTING`` deep, and ``|exponent|`` may exceed ``MAX_EXPONENT``
@@ -38,7 +43,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .algebra import EquivariantFunction, Monomial
+from .algebra import THETA, EquivariantFunction, Monomial
 from .errors import ParseError
 from .geometry import Chart
 from .scalars import HBAR_OVER_I, MAX_DIGITS, Coefficient, GaussianRational
@@ -51,25 +56,10 @@ _UNITS = (1, -1, GaussianRational(0, 1), GaussianRational(0, -1))
 _C_ZERO = Coefficient.zero()
 _C_ONE = Coefficient.one()
 _SIGNS = {1: _C_ONE, -1: -_C_ONE}
-_I = Coefficient.coerce(GaussianRational(0, 1))
-_HBAR = Coefficient.hbar(1)
-
-
-# -- AST -----------------------------------------------------------------
-#
-# Immutable nodes, built by the parser and dispatched on with isinstance.
-
-Rational = namedtuple("Rational", "value")  # a Fraction
-ImagUnit = namedtuple("ImagUnit", ())
-HbarSymbol = namedtuple("HbarSymbol", "over_i", defaults=(False,))
-Variable = namedtuple("Variable", "name")
-JetSymbol = namedtuple("JetSymbol", "orders")  # one derivative order per jet variable
-AngularPhase = namedtuple("AngularPhase", "weight")
-Neg = namedtuple("Neg", "operand")
-Add = namedtuple("Add", "left right")
-Sub = namedtuple("Sub", "left right")
-Mul = namedtuple("Mul", "left right")
-Pow = namedtuple("Pow", "base exponent")
+_ONE = (_C_ONE, (), (), 0)
+_I = (Coefficient.coerce(GaussianRational(0, 1)), (), (), 0)
+_HBAR = (Coefficient.hbar(1), (), (), 0)
+_HBAR_OVER_I = (HBAR_OVER_I, (), (), 0)
 
 
 # -- tokenizer -----------------------------------------------------------
@@ -106,14 +96,26 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# -- parser --------------------------------------------------------------
+# -- reader --------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], chart: Chart):
-        self.tokens = tokens
+class _Reader:
+    """Recursive descent over the tokens of one text, lowering as it reads.
+
+    ``jet_vars`` is the jet family that psi symbols refer to, or None
+    where jets are not allowed.  A sum lowers straight into one term
+    dict.  A factor with one term is returned as a term (scalar, variable
+    exponents, jet exponents, angular weight) and any other factor as a
+    function; a product collects its single-term factors as one scalar,
+    one map of exponents and one angular weight, and multiplies in only
+    the factors with several terms.
+    """
+
+    def __init__(self, text: str, chart: Chart, jet_vars):
+        self.tokens = tokenize(text)
         self.pos = 0
         self.chart = chart
+        self.jet_vars = tuple(jet_vars) if jet_vars is not None else None
         self.depth = 0
 
     def peek(self) -> Token:
@@ -143,189 +145,61 @@ class _Parser:
         token = self.peek()
         return token.kind == "sym" and token.text == symbol
 
+    def signed_uint(self) -> int:
+        if self.at_sym("-"):
+            self.advance()
+            return -self.expect_uint()
+        return self.expect_uint()
+
     # grammar rules
 
-    def parse(self):
-        node = self.expr()
+    def read(self) -> EquivariantFunction:
+        f = self.expr()
         token = self.peek()
         if token.kind != "end":
             raise ParseError(f"unexpected trailing input {token.text!r}", column=token.column)
-        return node
+        return f
 
-    def expr(self):
-        if self.at_sym("-"):
-            self.advance()
-            node = Neg(self.term())
-        else:
-            node = self.term()
-        while self.at_sym("+") or self.at_sym("-"):
-            op = self.advance().text
-            right = self.term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.at_sym("*"):
-            self.advance()
-            node = Mul(node, self.factor())
-        return node
-
-    def factor(self):
-        node = self.atom()
-        if self.at_sym("^"):
-            self.advance()
-            negative = False
-            if self.at_sym("-"):
-                self.advance()
-                negative = True
-            exponent = self.expect_uint()
-            node = Pow(node, -exponent if negative else exponent)
-        return node
-
-    def signed_int(self) -> int:
-        negative = False
-        if self.at_sym("-"):
-            self.advance()
-            negative = True
-        value = self.expect_uint()
-        return -value if negative else value
-
-    def atom(self):
-        token = self.peek()
-        if token.kind == "uint":
-            self.advance()
-            numerator = int(token.text)
-            if self.at_sym("/"):
-                self.advance()
-                denominator = self.expect_uint()
-                if denominator == 0:
-                    raise ParseError("zero denominator", column=token.column)
-                return Rational(Fraction(numerator, denominator))
-            return Rational(Fraction(numerator))
-        if token.kind == "sym" and token.text == "(":
-            self.advance()
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}",
-                                 column=token.column)
-            node = self.expr()
-            self.expect_sym(")")
-            self.depth -= 1
-            return node
-        if token.kind != "name":
-            raise ParseError(f"expected an atom, found {token.text or 'end of input'!r}",
-                             column=token.column)
-        self.advance()
-        name = token.text
-        if name == "i":
-            return ImagUnit()
-        if name == "hbar":
-            if self.at_sym("/"):
-                self.advance()
-                over = self.peek()
-                if over.kind != "name" or over.text != "i":
-                    raise ParseError("expected 'i' after 'hbar/'", column=over.column)
-                self.advance()
-                return HbarSymbol(over_i=True)
-            return HbarSymbol()
-        if name == "psi":
-            self.expect_sym("(")
-            orders = [self.expect_uint()]
-            while self.at_sym(","):
-                self.advance()
-                orders.append(self.expect_uint())
-            self.expect_sym(")")
-            return JetSymbol(tuple(orders))
-        if name == "e":
-            self.expect_sym("(")
-            weight = self.signed_int()
-            self.expect_sym(")")
-            return AngularPhase(weight)
-        return self.variable(name, token.column)
-
-    def variable(self, name: str, column: int):
-        chart = self.chart
-        if chart.kind == "bargmann":
-            if name in ("z", "zb"):
-                return Variable(name)
-            raise ParseError(f"unknown variable {name!r} on the bargmann chart", column=column)
-        if len(name) >= 2 and name[0] in ("p", "q") and name[1:].isdecimal():
-            index = int(name[1:])
-            if 1 <= index <= chart.n:
-                return Variable(name)
-            raise ParseError(
-                f"variable {name!r} is out of range for dimension {chart.n}", column=column,
-            )
-        raise ParseError(f"unknown variable {name!r}", column=column)
-
-
-def parse_expression(text: str, chart: Chart):
-    """Parse to an AST, validating variable names against the chart."""
-    return _Parser(tokenize(text), chart).parse()
-
-
-# -- lowering ------------------------------------------------------------
-
-
-class LoweringContext:
-    """Chart plus the jet family (if any) that psi symbols refer to.
-
-    A sum of products lowers straight into one term dict.  A product
-    collects its single-term factors as one scalar, one map of exponents
-    and one angular weight, and multiplies in only the factors with
-    several terms.  Sums and products are loops over the left-deep
-    chains the parser builds, so only parentheses add recursion depth.
-    """
-
-    def __init__(self, chart: Chart, jet_vars=None):
-        self.chart = chart
-        self.jet_vars = tuple(jet_vars) if jet_vars is not None else None
-
-    def lower(self, node) -> EquivariantFunction:
-        spine = []
-        while isinstance(node, (Add, Sub)):
-            spine.append(node)
-            node = node.left
+    def expr(self) -> EquivariantFunction:
         terms: dict = {}
         weight = 0
-        for link, summand in [(None, node)] + [(link, link.right) for link in reversed(spine)]:
-            sign = -1 if isinstance(link, Sub) else 1
-            if isinstance(summand, Neg):
-                sign, summand = -sign, summand.operand
-            product = self._product(summand, sign)
-            if product is None:
-                continue
-            if terms and product[0] != weight:
-                verb = "add" if isinstance(link, Add) else "subtract"
-                raise ParseError(
-                    f"cannot {verb} these subexpressions: cannot add functions of angular "
-                    f"weight {weight} and {product[0]}"
-                )
-            weight = product[0]
-            for mono, coeff in product[1]:
-                total = terms.get(mono, _C_ZERO) + coeff
-                if total:
-                    terms[mono] = total
-                else:
-                    del terms[mono]
-        return EquivariantFunction(self.chart, terms, weight, self.jet_vars or ())
+        verb, sign = None, 1
+        if self.at_sym("-"):
+            self.advance()
+            sign = -1
+        while True:
+            product = self.term(sign)
+            if product is not None:
+                if terms and product[0] != weight:
+                    raise ParseError(
+                        f"cannot {verb} these subexpressions: cannot add functions of angular "
+                        f"weight {weight} and {product[0]}"
+                    )
+                weight = product[0]
+                for mono, coeff in product[1]:
+                    total = terms.get(mono, _C_ZERO) + coeff
+                    if total:
+                        terms[mono] = total
+                    else:
+                        del terms[mono]
+            if self.at_sym("+"):
+                verb, sign = "add", 1
+            elif self.at_sym("-"):
+                verb, sign = "subtract", -1
+            else:
+                return EquivariantFunction(self.chart, terms, weight, self.jet_vars or ())
+            self.advance()
 
-    def _product(self, node, sign: int):
+    def term(self, sign: int):
         """``sign`` times a product of factors, as its angular weight and
         its (monomial, scalar) pairs, or None when it is zero.  The term
         bound is checked before each multiplication, as if the factors
         were multiplied one by one from the left."""
-        factors = []
-        while isinstance(node, Mul):
-            factors.append(node.right)
-            node = node.left
-        factors.append(node)
         scalar, exponents, jets, weight = _SIGNS[sign], {}, {}, 0
         poly = None  # the product of the factors with several terms
         count = None  # terms in the product so far
-        for node in reversed(factors):
-            factor = self._factor(node)
+        while True:
+            factor = self.factor()
             single = isinstance(factor, tuple)
             factor_count = (1 if factor[0] else 0) if single else len(factor.terms)
             if count is not None:
@@ -345,6 +219,9 @@ class LoweringContext:
                 for alpha, e in factor_jets:
                     jets[alpha] = jets.get(alpha, 0) + e
                 weight += factor_weight
+            if not self.at_sym("*"):
+                break
+            self.advance()
         if count == 0:
             return None
         mono = Monomial(exponents.items(), jets.items()) if exponents or jets else Monomial.unit()
@@ -355,36 +232,12 @@ class LoweringContext:
         product = poly * single
         return product.theta_weight, product.terms.items()
 
-    def _factor(self, node):
-        """A factor with one term as a term (scalar, variable exponents, jet
-        exponents, angular weight); any other factor as a function."""
-        if isinstance(node, Variable):
-            return _C_ONE, ((node.name, 1),), (), 0
-        if isinstance(node, Rational):
-            return Coefficient({0: node.value}), (), (), 0
-        if isinstance(node, ImagUnit):
-            return _I, (), (), 0
-        if isinstance(node, HbarSymbol):
-            return (HBAR_OVER_I if node.over_i else _HBAR), (), (), 0
-        if isinstance(node, JetSymbol):
-            if self.jet_vars is None:
-                raise ParseError("jet symbols are not allowed in this context")
-            if len(node.orders) != len(self.jet_vars):
-                raise ParseError(
-                    f"psi takes {len(self.jet_vars)} derivative orders here, got {len(node.orders)}"
-                )
-            return _C_ONE, (), ((tuple(node.orders), 1),), 0
-        if isinstance(node, AngularPhase):
-            return _C_ONE, (), (), node.weight
-        if isinstance(node, Pow):
-            return self._power(node)
-        if not isinstance(node, (Add, Sub, Mul, Neg)):
-            raise ParseError(f"cannot lower node {node!r}")
-        value = self.lower(node)
-        return _terms(value)[0] if len(value.terms) == 1 else value
-
-    def _power(self, node: Pow):
-        base, e = self._factor(node.base), node.exponent
+    def factor(self):
+        base = self.atom()
+        if not self.at_sym("^"):
+            return base
+        self.advance()
+        e = self.signed_uint()
         single = isinstance(base, tuple)
         if abs(e) > MAX_EXPONENT and not (single and _is_unit(base[0])):
             raise ParseError(
@@ -398,7 +251,7 @@ class LoweringContext:
                 f"this power makes an exponent longer than MAX_DIGITS = {MAX_DIGITS} digits"
             )
         if e == 0:
-            return _C_ONE, (), (), 0
+            return _ONE
         if not single:
             if e < 0:
                 raise ParseError("negative powers are only defined for "
@@ -418,6 +271,81 @@ class LoweringContext:
             scalar, e = Coefficient({-k: GaussianRational(1) / c}), -e
         return (scalar ** e, tuple((v, x * e) for v, x in variables),
                 tuple((alpha, x * e) for alpha, x in jets), weight * e)
+
+    def atom(self):
+        token = self.advance()
+        if token.kind == "uint":
+            numerator = int(token.text)
+            if self.at_sym("/"):
+                self.advance()
+                denominator = self.expect_uint()
+                if denominator == 0:
+                    raise ParseError("zero denominator", column=token.column)
+                return Coefficient({0: Fraction(numerator, denominator)}), (), (), 0
+            return Coefficient({0: Fraction(numerator)}), (), (), 0
+        if token.kind == "sym" and token.text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}",
+                                 column=token.column)
+            value = self.expr()
+            self.expect_sym(")")
+            self.depth -= 1
+            return _terms(value)[0] if len(value.terms) == 1 else value
+        if token.kind != "name":
+            raise ParseError(f"expected an atom, found {token.text or 'end of input'!r}",
+                             column=token.column)
+        name = token.text
+        if name == "i":
+            return _I
+        if name == "hbar":
+            if not self.at_sym("/"):
+                return _HBAR
+            self.advance()
+            over = self.peek()
+            if over.kind != "name" or over.text != "i":
+                raise ParseError("expected 'i' after 'hbar/'", column=over.column)
+            self.advance()
+            return _HBAR_OVER_I
+        if name == "psi":
+            self.expect_sym("(")
+            orders = [self.expect_uint()]
+            while self.at_sym(","):
+                self.advance()
+                orders.append(self.expect_uint())
+            self.expect_sym(")")
+            if self.jet_vars is None:
+                raise ParseError("jet symbols are not allowed in this context")
+            if len(orders) != len(self.jet_vars):
+                raise ParseError(
+                    f"psi takes {len(self.jet_vars)} derivative orders here, got {len(orders)}"
+                )
+            return _C_ONE, (), ((tuple(orders), 1),), 0
+        if name == "e":
+            self.expect_sym("(")
+            weight = self.signed_uint()
+            self.expect_sym(")")
+            return _C_ONE, (), (), weight
+        self.variable(name, token.column)
+        return _C_ONE, ((name, 1),), (), 0
+
+    def variable(self, name: str, column: int) -> None:
+        """Refuse a name that is not a variable of the chart."""
+        chart = self.chart
+        if name == THETA:
+            return
+        if chart.kind == "bargmann":
+            if name in ("z", "zb"):
+                return
+            raise ParseError(f"unknown variable {name!r} on the bargmann chart", column=column)
+        index = name[1:]
+        if name[0] in ("p", "q") and index.isdecimal() and index == str(int(index)):
+            if 1 <= int(index) <= chart.n:
+                return
+            raise ParseError(
+                f"variable {name!r} is out of range for dimension {chart.n}", column=column,
+            )
+        raise ParseError(f"unknown variable {name!r}", column=column)
 
 
 def _check_terms(bound: int, what: str) -> None:
@@ -447,6 +375,6 @@ def _exponents(term):
 
 
 def lower_expression(text: str, chart: Chart, jet_vars=None) -> EquivariantFunction:
-    """Parse and lower in one step."""
-    ast = parse_expression(text, chart)
-    return LoweringContext(chart, jet_vars).lower(ast)
+    """Read ``text`` and lower it to a function on ``chart``; psi symbols
+    refer to the jet family ``jet_vars`` and are refused without one."""
+    return _Reader(text, chart, jet_vars).read()

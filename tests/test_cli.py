@@ -163,6 +163,17 @@ class TestCommands:
         assert code == 2
         assert "out of range" in err
 
+    @pytest.mark.parametrize("name", ["p01", "q001", "p٣"])
+    def test_non_canonical_variables_exit_2(self, name):
+        code, out, err = run_cli(["star", "--dim", "3", name, "q1"])
+        assert code == 2 and out == ""
+        assert err == f"error: unknown variable {name!r} (line 1, column 1)\n"
+
+    def test_theta_is_read_as_a_variable(self):
+        code, out, err = run_cli(["bracket", "theta*p1", "q1"])
+        assert code == 0 and err == ""
+        assert out.strip() == "theta"
+
     def test_deep_nesting_is_a_parse_error(self):
         deep = "(" * 3000 + "p1" + ")" * 3000
         code, out, err = run_cli(["star", "--dim", "1", deep, "q1"])
