@@ -61,7 +61,7 @@ from .products import (
     yano_laplacian,
 )
 from .render import format_function, format_operator
-from .scalars import Coefficient, GaussianRational
+from .scalars import Coefficient
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "DriverTensor",
     "EquivariantFunction",
     "ExtractionError",
-    "GaussianRational",
     "LimitError",
     "Monomial",
     "ObservableError",

@@ -15,13 +15,13 @@ d/dtheta (theta^k e^{i m theta}) = (k theta^(k-1) + i m theta^k) e^{i m theta}.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import ChartError, WeightFactorError
-from .scalars import C_ONE, Coefficient, GaussianRational
+from .scalars import C_I, C_ONE, Coefficient
 
 _C_ZERO = Coefficient.zero()
-_C_I = Coefficient({0: GaussianRational(0, 1)})
 
 THETA = "theta"
 
@@ -41,16 +41,20 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+# Monomial sorts by this key on every construction; the cache keeps the
+# canonical-index check off that path.
+@lru_cache(maxsize=1024)
 def variable_key(name: str) -> tuple[int, int]:
-    """Global sort key: momentum-like first, then position-like, theta last."""
+    """Global sort key: momentum-like first, then position-like, theta last.
+    A p/q index is decimal and canonical, as the parser reads it: p1, not p01."""
     if name == "z":
         return (0, 0)
     if name == "zb":
         return (1, 0)
     if name == THETA:
         return (2, 0)
-    kind, idx = name[0], name[1:]
-    if kind in ("p", "q") and idx.isdigit():
+    kind, idx = name[:1], name[1:]
+    if kind in ("p", "q") and idx.isdecimal() and idx == str(int(idx)):
         return (0 if kind == "p" else 1, int(idx))
     raise ChartError(f"unknown variable name {name!r}")
 
@@ -351,7 +355,7 @@ class EquivariantFunction(Frozen):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (Coefficient, GaussianRational, int, Fraction)):
+        if isinstance(other, (Coefficient, int, Fraction)):
             scale = Coefficient.coerce(other)
             if not scale:
                 return EquivariantFunction.zero(self.chart)
@@ -367,7 +371,7 @@ class EquivariantFunction(Frozen):
                      self.weight_factor or other.weight_factor)
 
     def __rmul__(self, other):
-        if isinstance(other, (Coefficient, GaussianRational, int, Fraction)):
+        if isinstance(other, (Coefficient, int, Fraction)):
             return self * other
         return NotImplemented
 
@@ -542,7 +546,7 @@ def _derive_into(terms, f: EquivariantFunction, coeffs) -> None:
     multiplier: dict[Monomial, Coefficient] = {}
     for var, poly in coeffs:
         if var == THETA:
-            log = {_MONOMIAL_UNIT: _C_I.scaled(f.theta_weight)} if f.theta_weight else None
+            log = {_MONOMIAL_UNIT: C_I.scaled(f.theta_weight)} if f.theta_weight else None
         else:
             log = f.weight_factor.log_derivative(var)._terms if f.weight_factor else None
         if log:

@@ -41,7 +41,7 @@ from .products import (
     star_product,
 )
 from .render import format_function
-from .scalars import Coefficient, GaussianRational, HBAR_OVER_I, I_OVER_HBAR
+from .scalars import C_I, Coefficient, HBAR_OVER_I, I_OVER_HBAR
 
 
 class CheckResult:
@@ -84,17 +84,16 @@ class Sampler:
                 num = self.rng.randint(-4, 4)
         return Fraction(num, self.rng.randint(1, 3))
 
-    def gaussian(self) -> GaussianRational:
+    def gaussian(self) -> Coefficient:
+        """A constant Coefficient: real, or with a nonzero imaginary part."""
         if self.rng.random() < 0.3:
-            return GaussianRational(self.fraction(zero_ok=True), self.fraction())
-        return GaussianRational(self.fraction())
+            return self.fraction(zero_ok=True) + self.fraction() * C_I
+        return Coefficient.coerce(self.fraction())
 
     def coefficient(self, hbar_low: int = 0, hbar_high: int = 0) -> Coefficient:
-        data = {}
+        coeff = Coefficient.zero()
         for _ in range(self.rng.randint(1, 2)):
-            k = self.rng.randint(hbar_low, hbar_high)
-            data[k] = data.get(k, GaussianRational(0)) + self.gaussian()
-        coeff = Coefficient(data)
+            coeff = coeff + Coefficient.hbar(self.rng.randint(hbar_low, hbar_high), self.gaussian())
         return coeff if coeff else Coefficient.one()
 
     def multi_index(self, n: int, max_degree: int) -> tuple[int, ...]:
@@ -118,11 +117,11 @@ class Sampler:
         for _ in range(self.rng.randint(1, terms)):
             mono = self._monomial_over(list(variables), max_degree)
             if real:
-                coeff = Coefficient.coerce(GaussianRational(self.fraction()))
+                coeff = Coefficient.coerce(self.fraction())
             elif hbar:
                 coeff = self.coefficient(-1, 1)
             else:
-                coeff = Coefficient.coerce(self.gaussian())
+                coeff = self.gaussian()
             acc[mono] = acc.get(mono, Coefficient.zero()) + coeff
         f = EquivariantFunction(chart, acc)
         return f if not f.is_zero() else chart.one()
@@ -155,13 +154,12 @@ class Sampler:
         n = chart.n
         while True:
             c = [
-                [GaussianRational(Fraction(self.rng.randint(-2, 2), self.rng.randint(1, 2)))
-                 for _ in range(n)]
+                [Fraction(self.rng.randint(-2, 2), self.rng.randint(1, 2)) for _ in range(n)]
                 for _ in range(n)
             ]
             try:
-                b = [GaussianRational(self.fraction(zero_ok=True)) for _ in range(n)]
-                d = [GaussianRational(self.fraction(zero_ok=True)) for _ in range(n)]
+                b = [self.fraction(zero_ok=True) for _ in range(n)]
+                d = [self.fraction(zero_ok=True) for _ in range(n)]
                 return AffineMap.from_position_part(chart, c, b, d)
             except StarBundleError:
                 continue
@@ -411,7 +409,7 @@ def check_agarwal(seed: int = 0, max_degree: int = 6) -> list[CheckResult]:
     jet0 = EquivariantFunction.jet(bargmann, ("z",))
     jet1 = EquivariantFunction.jet(bargmann, ("z",), (1,))
     two_hbar = Coefficient.hbar(1, 2)
-    expected = bargmann_wave(bargmann, z * jet1 + jet0 * GaussianRational(Fraction(1, 2))) * two_hbar
+    expected = bargmann_wave(bargmann, z * jet1 + jet0 * Fraction(1, 2)) * two_hbar
     rec.landmark("modulus-squared-landmark", out == expected, f"got {out}")
     return rec.results()
 

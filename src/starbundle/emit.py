@@ -41,9 +41,8 @@ def function_to_document(f: EquivariantFunction) -> dict:
 
 def operator_to_document(op) -> dict:
     terms = []
-    for alpha, poly in op.sorted_terms():
-        for mono, coeff in poly.sorted_terms():
-            terms += _term_entries(mono, coeff, derivative=list(alpha))
+    for alpha, mono, coeff in op.sorted_terms():
+        terms += _term_entries(mono, coeff, derivative=list(alpha))
     return {"chart": chart_id(op.rep.chart), "rep": op.rep.name, "terms": terms}
 
 

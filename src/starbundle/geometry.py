@@ -11,7 +11,6 @@ implemented by :class:`AffineMap`.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -19,10 +18,10 @@ from .algebra import (
     THETA, Derivation, EquivariantFunction, Frozen, WeightFactor, _make, _product_into, add_into,
 )
 from .errors import ChartError, ObservableError
-from .scalars import C_ONE, Coefficient, GaussianRational
+from .scalars import C_I, C_ONE, I_OVER_HBAR, Coefficient
 
-_ONE = GaussianRational(1)
-_NO_ALPHA = (None, Coefficient.zero())
+_C_ZERO = Coefficient.zero()
+_NO_ALPHA = (None, _C_ZERO)
 
 
 class Chart(Frozen):
@@ -50,7 +49,7 @@ class Chart(Frozen):
                 raise ChartError("real chart needs dimension n >= 1")
             momentum_vars = tuple(f"p{i}" for i in range(1, n + 1))
             position_vars = tuple(f"q{i}" for i in range(1, n + 1))
-            pairs = [(_ONE, pv, qv) for pv, qv in zip(momentum_vars, position_vars)]
+            pairs = [(C_ONE, pv, qv) for pv, qv in zip(momentum_vars, position_vars)]
             # alpha(d/dq^i) = p_i / hbar
             inverse_hbar = Coefficient.hbar(-1)
             alpha = {qv: (pv, inverse_hbar) for _, pv, qv in pairs}
@@ -58,12 +57,9 @@ class Chart(Frozen):
             if n != 1:
                 raise ChartError("the bargmann chart is one-dimensional")
             momentum_vars, position_vars = ("z",), ("zb",)
-            pairs = [(GaussianRational(0, 2), "zb", "z")]
+            pairs = [(C_I * 2, "zb", "z")]
             # alpha(d/dz) = zb / (4 i hbar), alpha(d/dzb) = -z / (4 i hbar)
-            alpha = {
-                "z": ("zb", Coefficient.hbar(-1, GaussianRational(0, Fraction(-1, 4)))),
-                "zb": ("z", Coefficient.hbar(-1, GaussianRational(0, Fraction(1, 4)))),
-            }
+            alpha = {"z": ("zb", I_OVER_HBAR.scaled(-1, 4)), "zb": ("z", I_OVER_HBAR.scaled(1, 4))}
         else:
             raise ChartError(f"unknown chart kind {kind!r}")
         variables = momentum_vars + position_vars
@@ -124,9 +120,9 @@ class Chart(Frozen):
         """The symplectic form on a pair of coordinate fields: 1/c on a
         bracket pair (c, u, v), -1/c on (c, v, u), and 0 elsewhere."""
         if (u, v) in self._scale_of:
-            return Coefficient.coerce(_ONE / self._scale_of[(u, v)])
+            return C_ONE / self._scale_of[(u, v)]
         if (v, u) in self._scale_of:
-            return -Coefficient.coerce(_ONE / self._scale_of[(v, u)])
+            return -C_ONE / self._scale_of[(v, u)]
         return Coefficient.zero()
 
     # -- vector fields ---------------------------------------------------
@@ -277,7 +273,6 @@ def souriau_bracket(
     lifts = chart_cache(_connection, chart).lifts
     terms, jets = {}, ()
     for scale, u, v in chart.bracket_pairs:
-        scale = Coefficient.coerce(scale)
         for a, b, c in ((u, v, scale), (v, u, -scale)):
             left = lifts[a](f)
             if not left.is_zero():
@@ -315,11 +310,10 @@ def momentum_phase(chart: Chart) -> WeightFactor:
     """The phase exp(i p.q / hbar) carried by momentum-representation waves."""
     if chart.kind != "real":
         raise ChartError("the momentum phase lives on real charts")
-    i_over_hbar = Coefficient.hbar(-1, GaussianRational(0, 1))
     table = {}
     for pv, qv in zip(chart.momentum_vars, chart.position_vars):
-        table[pv] = chart.var(qv) * i_over_hbar
-        table[qv] = chart.var(pv) * i_over_hbar
+        table[pv] = chart.var(qv) * I_OVER_HBAR
+        table[qv] = chart.var(pv) * I_OVER_HBAR
     return WeightFactor("exp(i*p.q/hbar)", table)
 
 
@@ -327,7 +321,7 @@ def bargmann_gaussian(chart: Chart) -> WeightFactor:
     """The Gaussian exp(-z*zb/(4*hbar)) of the holomorphic representation."""
     if chart.kind != "bargmann":
         raise ChartError("the Gaussian factor lives on the bargmann chart")
-    minus_quarter = Coefficient.hbar(-1, GaussianRational(Fraction(-1, 4)))
+    minus_quarter = Coefficient.hbar(-1).scaled(-1, 4)
     table = {
         "z": chart.var("zb") * minus_quarter,
         "zb": chart.var("z") * minus_quarter,
@@ -384,20 +378,34 @@ def prequantum_wave(chart: Chart, component=None) -> EquivariantFunction:
 # -- affine chart changes -------------------------------------------------
 
 
+def _entries(values, n: int) -> tuple:
+    """A row or vector of n hbar-free scalars, as Coefficients."""
+    values = tuple(map(Coefficient.coerce, values))
+    if len(values) != n:
+        raise ChartError(f"an affine map row or vector has {len(values)} entries, not n = {n}")
+    if any(k for x in values for k, _ in x.items()):
+        raise ChartError("affine map entries must not depend on hbar")
+    return values
+
+
+def _matrix(rows, n: int) -> tuple:
+    """An n x n matrix of hbar-free scalars, as Coefficients."""
+    rows = tuple(rows)
+    if len(rows) != n:
+        raise ChartError("matrix size does not match the chart dimension")
+    return tuple(_entries(row, n) for row in rows)
+
+
 def _invert_matrix(m):
-    """Exact inverse of a small square matrix of GaussianRationals."""
+    """Exact inverse of a square matrix of constant Coefficients."""
     n = len(m)
-    aug = [
-        [GaussianRational.coerce(m[r][c]) for c in range(n)]
-        + [GaussianRational(1 if c == r else 0) for c in range(n)]
-        for r in range(n)
-    ]
+    aug = [list(m[r]) + [C_ONE if c == r else _C_ZERO for c in range(n)] for r in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise ChartError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = GaussianRational(1) / aug[col][col]
+        inv = C_ONE / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
@@ -412,7 +420,9 @@ class AffineMap(Frozen):
     The matrices must be contragredient (sum_j a_j^i c^j_k = delta^i_k)
     so that the canonical tensors keep their normal form; this is
     exactly the stated a = c^{-1} condition read with the index
-    placement.  Non-contragredient input is rejected.
+    placement.  Non-contragredient input is rejected, and so is a
+    matrix that is not n x n, a vector without n entries or an entry
+    that depends on hbar.
     """
 
     __slots__ = ("chart", "a", "c", "b", "d")
@@ -421,16 +431,13 @@ class AffineMap(Frozen):
         if chart.kind != "real":
             raise ChartError("affine chart changes are defined on real charts")
         n = chart.n
-        a = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in a)
-        c = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in c)
-        b = tuple(GaussianRational.coerce(x) for x in (b or [0] * n))
-        d = tuple(GaussianRational.coerce(x) for x in (d or [0] * n))
-        if len(a) != n or len(c) != n:
-            raise ChartError("matrix size does not match the chart dimension")
+        a, c = _matrix(a, n), _matrix(c, n)
+        b = _entries([0] * n if b is None else b, n)
+        d = _entries([0] * n if d is None else d, n)
         for i in range(n):
             for k in range(n):
-                s = sum((a[j][i] * c[j][k] for j in range(n)), GaussianRational(0))
-                if s != GaussianRational(1 if i == k else 0):
+                s = sum((a[j][i] * c[j][k] for j in range(n)), _C_ZERO)
+                if s != (1 if i == k else 0):
                     raise ChartError("a and c are not contragredient (a != c^{-1})")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "a", a)
@@ -441,21 +448,18 @@ class AffineMap(Frozen):
     @staticmethod
     def from_position_part(chart: Chart, c, b=None, d=None) -> "AffineMap":
         """Build the unique contragredient map over a given position matrix."""
-        c = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in c)
-        c_inv = _invert_matrix(c)
         n = chart.n
+        c = _matrix(c, n)
+        c_inv = _invert_matrix(c)
         a = tuple(tuple(c_inv[i][j] for i in range(n)) for j in range(n))
         return AffineMap(chart, a, c, b, d)
 
     @staticmethod
     def scaling(chart: Chart, factor) -> "AffineMap":
         """p' = factor*p, q' = q/factor in every slot."""
-        factor = GaussianRational.coerce(factor)
         n = chart.n
-        one_over = GaussianRational(1) / factor
-        a = [[factor if i == j else 0 for j in range(n)] for i in range(n)]
-        c = [[one_over if i == j else 0 for j in range(n)] for i in range(n)]
-        return AffineMap(chart, a, c)
+        a = _matrix([[factor if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return AffineMap(chart, a, _invert_matrix(a))
 
     @staticmethod
     def translation(chart: Chart, b=None, d=None) -> "AffineMap":
@@ -467,20 +471,14 @@ class AffineMap(Frozen):
     def _replacements(self) -> dict[str, EquivariantFunction]:
         chart, n = self.chart, self.chart.n
         repl = {}
-        for i in range(n):
-            acc = chart.zero()
-            for j in range(n):
-                if self.c[j][i]:
-                    shifted = chart.var(chart.momentum_vars[j]) - chart.constant(self.b[j])
-                    acc = acc + shifted * Coefficient.coerce(self.c[j][i])
-            repl[chart.momentum_vars[i]] = acc
-        for i in range(n):
-            acc = chart.zero()
-            for j in range(n):
-                if self.a[j][i]:
-                    shifted = chart.var(chart.position_vars[j]) - chart.constant(self.d[j])
-                    acc = acc + shifted * Coefficient.coerce(self.a[j][i])
-            repl[chart.position_vars[i]] = acc
+        for names, m, shift in ((chart.momentum_vars, self.c, self.b),
+                                (chart.position_vars, self.a, self.d)):
+            for i in range(n):
+                acc = chart.zero()
+                for j in range(n):
+                    if m[j][i]:
+                        acc = acc + (chart.var(names[j]) - chart.constant(shift[j])) * m[j][i]
+                repl[names[i]] = acc
         return repl
 
     def transform_function(self, f: EquivariantFunction) -> EquivariantFunction:
@@ -492,18 +490,13 @@ class AffineMap(Frozen):
         chart, n = self.chart, self.chart.n
         coeffs: dict[str, EquivariantFunction] = {}
         for k in range(n):
-            cp = field.coeffs.get(chart.momentum_vars[k])
-            if cp is not None:
-                sub = self.transform_function(cp)
-                for j in range(n):
-                    if self.a[j][k]:
-                        add_into(coeffs, chart.momentum_vars[j], sub * Coefficient.coerce(self.a[j][k]))
-            cq = field.coeffs.get(chart.position_vars[k])
-            if cq is not None:
-                sub = self.transform_function(cq)
-                for j in range(n):
-                    if self.c[j][k]:
-                        add_into(coeffs, chart.position_vars[j], sub * Coefficient.coerce(self.c[j][k]))
+            for names, m in ((chart.momentum_vars, self.a), (chart.position_vars, self.c)):
+                coeff = field.coeffs.get(names[k])
+                if coeff is not None:
+                    sub = self.transform_function(coeff)
+                    for j in range(n):
+                        if m[j][k]:
+                            add_into(coeffs, names[j], sub * m[j][k])
         theta = field.coeffs.get(THETA)
         if theta is not None:
             add_into(coeffs, THETA, self.transform_function(theta))

@@ -20,7 +20,7 @@ from .algebra import EquivariantFunction, Frozen, Monomial, _make, _monomial, hi
 from .errors import ChartError, ExtractionError
 from .geometry import Chart, bargmann_wave, chart_cache, momentum_wave, position_wave
 from .products import StarKind, driver_tensor, exponential_product, laplacian_exponential, quantize
-from .scalars import C_ONE, Coefficient, GaussianRational
+from .scalars import C_I, C_ONE, Coefficient
 
 # Each representation: the chart attribute naming its configuration
 # variables (z is the bargmann chart's momentum variable), its polarization,
@@ -34,7 +34,7 @@ _REPRESENTATIONS = {
     "momentum": ("momentum_vars", Chart.horizontal_polarization, momentum_wave,
                  StarKind.ANTINORMAL, -C_ONE),
     "bargmann": ("momentum_vars", Chart.antiholomorphic_polarization, bargmann_wave,
-                 StarKind.WICK, Coefficient.coerce(GaussianRational(0, -1) / 2)),
+                 StarKind.WICK, C_I.scaled(-1, 2)),
 }
 
 
@@ -154,14 +154,20 @@ class DiffOperator(Frozen):
         """sum_a c_a(x) xi^a, xi the dual variables of the representation."""
         return self._symbol
 
+    def _split(self):
+        """(alpha, configuration monomial, coefficient) for each symbol term."""
+        dual = self.rep.dual_vars
+        for mono, coeff in self._symbol.terms.items():
+            powers = dict(mono.vars)
+            alpha = tuple([powers.pop(xi, 0) for xi in dual])
+            yield alpha, _monomial(tuple(powers.items()), ()), coeff
+
     @property
     def terms(self):
         """The coefficient c_alpha of each d^alpha, a read-only mapping."""
         table: dict[tuple, dict] = {}
-        for mono, coeff in self._symbol.terms.items():
-            powers = dict(mono.vars)
-            alpha = tuple([powers.pop(xi, 0) for xi in self.rep.dual_vars])
-            table.setdefault(alpha, {})[_monomial(tuple(powers.items()), ())] = coeff
+        for alpha, mono, coeff in self._split():
+            table.setdefault(alpha, {})[mono] = coeff
         chart = self.rep.chart
         return MappingProxyType({a: _make(chart, t, 0, (), None) for a, t in table.items()})
 
@@ -226,7 +232,9 @@ class DiffOperator(Frozen):
         return _operator(self.rep, s)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0])
+        """(alpha, monomial, coefficient) for each term c x^m d^alpha, the
+        order printers use: by alpha, then by the monomial's order."""
+        return sorted(self._split(), key=lambda term: (term[0], term[1].sort_key()))
 
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):

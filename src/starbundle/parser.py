@@ -46,18 +46,18 @@ from math import comb
 from .algebra import THETA, EquivariantFunction, Monomial
 from .errors import ParseError
 from .geometry import Chart
-from .scalars import HBAR_OVER_I, MAX_DIGITS, Coefficient, GaussianRational
+from .scalars import C_I, HBAR_OVER_I, MAX_DIGITS, Coefficient
 
 MAX_NESTING = 100
 MAX_EXPONENT = 64
 MAX_TERMS = 1000
 _EXPONENT_BOUND = 10 ** MAX_DIGITS
-_UNITS = (1, -1, GaussianRational(0, 1), GaussianRational(0, -1))
+_UNITS = (1, -1, C_I, -C_I)
 _C_ZERO = Coefficient.zero()
 _C_ONE = Coefficient.one()
 _SIGNS = {1: _C_ONE, -1: -_C_ONE}
 _ONE = (_C_ONE, (), (), 0)
-_I = (Coefficient.coerce(GaussianRational(0, 1)), (), (), 0)
+_I = (C_I, (), (), 0)
 _HBAR = (Coefficient.hbar(1), (), (), 0)
 _HBAR_OVER_I = (HBAR_OVER_I, (), (), 0)
 
@@ -264,11 +264,9 @@ class _Reader:
         if e < 0:
             if variables or jets or weight:
                 raise ParseError("negative powers are only defined for scalar subexpressions")
-            entries = scalar.items()
-            if len(entries) != 1:
+            if len(scalar.items()) != 1:
                 raise ParseError("negative powers are only defined for single-term scalars")
-            k, c = entries[0]
-            scalar, e = Coefficient({-k: GaussianRational(1) / c}), -e
+            scalar, e = _C_ONE / scalar, -e
         return (scalar ** e, tuple((v, x * e) for v, x in variables),
                 tuple((alpha, x * e) for alpha, x in jets), weight * e)
 

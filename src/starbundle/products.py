@@ -18,7 +18,6 @@ the explicit counterexample showing the hbar/i base star fails it.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import factorial
 
 from .algebra import THETA, EquivariantFunction, Frozen, Monomial, _make, _product_into, add_into
@@ -29,7 +28,6 @@ from .geometry import (
 from .scalars import (
     C_ONE,
     Coefficient,
-    GaussianRational,
     HBAR_OVER_I,
     I_OVER_HBAR,
 )
@@ -52,7 +50,7 @@ class StarKind(str, Enum):
 
 
 # hbar/(2i)
-HALF_HBAR_OVER_I = Coefficient({1: GaussianRational(0, Fraction(-1, 2))})
+HALF_HBAR_OVER_I = HBAR_OVER_I.scaled(1, 2)
 
 
 def _function_key(f: EquivariantFunction):

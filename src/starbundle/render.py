@@ -103,12 +103,11 @@ def _derivative_factors(config_vars, alpha) -> list[str]:
 
 def format_operator(op) -> str:
     rendered = []
-    for alpha, poly in op.sorted_terms():
+    for alpha, mono, coeff in op.sorted_terms():
         derivative = _derivative_factors(op.rep.config_vars, alpha)
-        for mono, coeff in poly.sorted_terms():
-            for k, re, im in coeff.parts():
-                sign, factors = _scalar_factors(re, im, k)
-                factors.extend(_monomial_factors(mono))
-                factors.extend(derivative)
-                rendered.append((sign, factors))
+        for k, re, im in coeff.parts():
+            sign, factors = _scalar_factors(re, im, k)
+            factors.extend(_monomial_factors(mono))
+            factors.extend(derivative)
+            rendered.append((sign, factors))
     return _join(rendered)

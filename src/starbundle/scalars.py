@@ -1,9 +1,10 @@
-"""Exact scalars: Gaussian rationals and Laurent polynomials in the formal symbol hbar.
+"""Exact scalars: one type, :class:`Coefficient`, a Laurent polynomial in hbar.
 
 Every computation in this package is exact; no floats appear anywhere.
 A scalar is a finite sum  sum_k c_k * hbar^k  with k ranging over the
 integers (hbar is formally invertible) and each c_k a complex number
-with rational real and imaginary parts.
+with rational real and imaginary parts.  A Gaussian rational is the
+constant scalar whose only entry is at hbar^0; ``C_I`` is i.
 
 Each c_k is stored as a triple of plain ints (a, b, d) meaning
 (a + b*i)/d, canonical (d > 0, gcd(a, b, d) == 1) so that equality is
@@ -44,101 +45,15 @@ def _mul(x: tuple, y: tuple) -> tuple:
 
 
 def _triple(value) -> tuple:
-    """The canonical triple of an int, Fraction or GaussianRational."""
+    """The canonical triple of an int, a Fraction or an hbar-free Coefficient."""
     if type(value) is int:
         return (value, 0, 1)
-    if isinstance(value, GaussianRational):
-        return value._t
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Coefficient):
+        if value._data.keys() <= {0}:
+            return value._data.get(0, (0, 0, 1))
+    elif isinstance(value, (int, Fraction)):
         return (value.numerator, 0, value.denominator)
     raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
-
-
-def _gr(t: tuple) -> "GaussianRational":
-    # trusted fast constructor for internal arithmetic
-    out = object.__new__(GaussianRational)
-    object.__setattr__(out, "_t", t)
-    return out
-
-
-class GaussianRational:
-    """A complex number a + b*i with rational a, b."""
-
-    __slots__ = ("_t",)
-
-    def __init__(self, re=0, im=0):
-        t = _add(_triple(Fraction(re)), _mul(_triple(Fraction(im)), (0, 1, 1)))
-        object.__setattr__(self, "_t", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self._t[0], self._t[2])
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self._t[1], self._t[2])
-
-    @staticmethod
-    def coerce(value) -> "GaussianRational":
-        return value if isinstance(value, GaussianRational) else _gr(_triple(value))
-
-    def __add__(self, other):
-        return _gr(_add(self._t, _triple(other)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        a, b, d = self._t
-        return _gr((-a, -b, d))
-
-    def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
-
-    def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        return _gr(_mul(self._t, _triple(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b, d = _triple(other)
-        if not (a or b):
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return _gr(_mul(self._t, _reduce(a * d, -b * d, a * a + b * b)))
-
-    def conjugate(self) -> "GaussianRational":
-        a, b, d = self._t
-        return _gr((a, -b, d))
-
-    def __bool__(self):
-        return bool(self._t[0] or self._t[1])
-
-    def __eq__(self, other):
-        if not isinstance(other, (GaussianRational, int, Fraction)):
-            return NotImplemented
-        return self._t == _triple(other)
-
-    def __hash__(self):
-        # real values hash like the int or Fraction they equal
-        a, b, d = self._t
-        return hash(self._t) if b else hash(a) if d == 1 else hash(Fraction(a, d))
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        re, im = self.re, self.im
-        if not (re and im):
-            return f"{im}*i" if im else str(re)
-        return f"({re} {'+' if im > 0 else '-'} {abs(im)}*i)"
-
-
-GR_I = GaussianRational(0, 1)
 
 
 def _coeff(data: dict) -> "Coefficient":
@@ -153,7 +68,8 @@ class Coefficient:
 
     Stored sparsely as a map from integer hbar-exponent to the canonical
     triple of a nonzero Gaussian rational; the zero scalar is the empty
-    map.  Products add exponents, so hbar is formally invertible.
+    map.  Products add exponents, so hbar is formally invertible.  A
+    Gaussian rational is the constant whose only entry is at hbar^0.
     """
 
     __slots__ = ("_data",)
@@ -239,6 +155,16 @@ class Coefficient:
             out = out * out * self if bit == "1" else out * out
         return out
 
+    def __truediv__(self, other):
+        """self / (c*hbar^k); the divisor must be a single nonzero term."""
+        other = Coefficient.coerce(other)
+        if len(other._data) != 1:
+            if not other._data:
+                raise ZeroDivisionError("division by the zero scalar")
+            raise ValueError("can only divide by a single term c*hbar^k")
+        (k, (a, b, d)), = other._data.items()
+        return self * _coeff({-k: _reduce(a * d, -b * d, a * a + b * b)})
+
     def scaled(self, num: int, den: int = 1) -> "Coefficient":
         """self * num/den for ints num and den > 0, without a Fraction."""
         if not num:
@@ -250,8 +176,8 @@ class Coefficient:
         return _coeff({k: (a, -b, d) for k, (a, b, d) in self._data.items()})
 
     def items(self):
-        """(exponent, value) pairs sorted by ascending hbar-exponent."""
-        return [(k, _gr(t)) for k, t in sorted(self._data.items())]
+        """(exponent, constant Coefficient) pairs sorted by ascending hbar-exponent."""
+        return [(k, _coeff({0: t})) for k, t in sorted(self._data.items())]
 
     def parts(self):
         """(exponent, (re num, re den), (im num, im den)) sorted by ascending
@@ -269,28 +195,35 @@ class Coefficient:
         return bool(self._data)
 
     def __eq__(self, other):
-        if isinstance(other, (GaussianRational, int, Fraction)):
+        if isinstance(other, (int, Fraction)):
             other = Coefficient.coerce(other)
         if not isinstance(other, Coefficient):
             return NotImplemented
         return self._data == other._data
 
     def __hash__(self):
+        # a real constant hashes like the int or Fraction it equals
         data = self._data
-        if len(data) == 1 and 0 in data:
-            return hash(_gr(data[0]))
+        if len(data) == 1 and 0 in data and not data[0][1]:
+            a, _, d = data[0]
+            return hash(a) if d == 1 else hash(Fraction(a, d))
         return hash(frozenset(data.items())) if data else 0
 
     def __repr__(self):
-        return f"Coefficient({dict(self.items())!r})"
+        return f"Coefficient({self})"
 
     def __str__(self):
-        powers = {0: "", 1: "*hbar"}
-        return " + ".join(f"{v}{powers.get(k, f'*hbar^{k}')}" for k, v in self.items()) or "0"
+        out = []
+        for k, (a, b, d) in sorted(self._data.items()):
+            re, im = Fraction(a, d), Fraction(b, d)
+            text = f"({re} {'+-'[im < 0]} {abs(im)}*i)" if re and im else f"{im}*i" if im else str(re)
+            out.append(text + {0: "", 1: "*hbar"}.get(k, f"*hbar^{k}"))
+        return " + ".join(out) or "0"
 
 
 C_ONE = Coefficient.one()
+C_I = _coeff({0: (0, 1, 1)})
 # hbar/i = -i*hbar, the ubiquitous expansion coefficient
-HBAR_OVER_I = Coefficient({1: GaussianRational(0, -1)})
+HBAR_OVER_I = _coeff({1: (0, -1, 1)})
 # i/hbar, its reciprocal
-I_OVER_HBAR = Coefficient({-1: GR_I})
+I_OVER_HBAR = _coeff({-1: (0, 1, 1)})

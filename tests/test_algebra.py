@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import bundle_functions, functions, observables
+from conftest import bundle_functions, functions, gaussian, observables
 from starbundle import (
     Chart,
     ChartError,
     Coefficient,
     Derivation,
     EquivariantFunction,
-    GaussianRational,
     WeightFactorError,
     bargmann_gaussian,
     momentum_phase,
@@ -35,8 +34,8 @@ class TestPolyArithmetic:
         assert left * right == p * q
 
     def test_gaussian_rational_product(self):
-        a = CH.constant(GaussianRational(1, 1))
-        b = CH.constant(GaussianRational(1, -1))
+        a = CH.constant(gaussian(1, 1))
+        b = CH.constant(gaussian(1, -1))
         assert a * b == CH.constant(2)
 
     def test_int_pow(self):
@@ -97,7 +96,7 @@ class TestDifferentiate:
         z = BC.var("z")
         w = bargmann_gaussian(BC)
         f = EquivariantFunction(BC, z.terms, weight_factor=w)
-        scale = Coefficient.hbar(-1, GaussianRational(Fraction(-1, 4)))
+        scale = Coefficient.hbar(-1, gaussian(Fraction(-1, 4)))
         expected = EquivariantFunction(BC, (z * z * scale).terms, weight_factor=w)
         assert f.differentiate("zb") == expected
 
@@ -109,7 +108,7 @@ class TestDifferentiate:
         theta = CH.var("theta")
         f = EquivariantFunction(CH, theta.terms, theta_weight=2)
         expected = EquivariantFunction(CH, CH.one().terms, theta_weight=2) \
-            + f * GaussianRational(0, 2)
+            + f * gaussian(0, 2)
         assert f.differentiate("theta") == expected
 
     @given(functions(CH2, max_degree=3))
@@ -148,6 +147,14 @@ class TestCanonicalForm:
         assert forward == backward
         assert str(forward) == str(backward)
 
+    def test_superscript_index_is_an_unknown_variable(self):
+        with pytest.raises(ChartError, match="unknown variable name 'p²'"):
+            Monomial([("p²", 1)])
+
+    def test_non_canonical_index_is_an_unknown_variable(self):
+        with pytest.raises(ChartError, match="unknown variable name 'p01'"):
+            Monomial([("p01", 1), ("p1", 1)])
+
     def test_zero_normalizes(self):
         wave = EquivariantFunction(CH, {}, theta_weight=1, jet_vars=("q1",))
         assert wave.is_zero()
@@ -178,7 +185,7 @@ class TestDerivation:
     def test_theta_action_on_weight(self):
         d = Derivation.coordinate(CH, "theta")
         wave = EquivariantFunction(CH, CH.var("q1").terms, theta_weight=3)
-        assert d(wave) == wave * GaussianRational(0, 3)
+        assert d(wave) == wave * gaussian(0, 3)
 
     def test_theta_is_an_ordinary_coeffs_entry(self):
         keyed = Derivation(CH, {"theta": CH.one(), "p1": CH.var("q1")})

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import bundle_functions, observables
+from conftest import bundle_functions, gaussian, observables
 from starbundle import (
     AffineMap,
     Chart,
@@ -11,7 +11,6 @@ from starbundle import (
     Coefficient,
     Derivation,
     EquivariantFunction,
-    GaussianRational,
     ObservableError,
     Polarization,
     PolarizationError,
@@ -45,7 +44,7 @@ class TestHorizontalLift:
     def test_bargmann_lift(self):
         # alpha(d/dz) = zb/(4 i hbar), read off the connection form
         lift = horizontal_lift(BC, "z")
-        theta = BC.var("zb") * Coefficient.hbar(-1, GaussianRational(0, Fraction(1, 4)))
+        theta = BC.var("zb") * Coefficient.hbar(-1, gaussian(0, Fraction(1, 4)))
         expected = Derivation(BC, {"z": BC.one(), "theta": theta})
         assert lift == expected
 
@@ -63,7 +62,7 @@ class TestHorizontalLift:
         lift = horizontal_lift(CH, "q1")
         wave = position_wave(CH, CH.var("q1"))
         correction = CH.var("p1") * CH.var("q1") \
-            * Coefficient.hbar(-1, GaussianRational(0, -1))
+            * Coefficient.hbar(-1, gaussian(0, -1))
         expected = EquivariantFunction(
             CH, (CH.one() + correction).terms, theta_weight=1,
         )
@@ -118,8 +117,8 @@ class TestSouriauBracket:
 
     def test_bargmann_canonical_pair(self):
         z, zb = BC.var("z"), BC.var("zb")
-        assert souriau_bracket(BC, z, zb) == BC.constant(GaussianRational(0, -2))
-        assert souriau_bracket(BC, zb, z) == BC.constant(GaussianRational(0, 2))
+        assert souriau_bracket(BC, z, zb) == BC.constant(gaussian(0, -2))
+        assert souriau_bracket(BC, zb, z) == BC.constant(gaussian(0, 2))
 
 
 class TestJacobiator:
@@ -231,8 +230,8 @@ class TestAffineMap:
         assert amap.transform(old) == new
 
     def test_general_map_constructed_from_position_part(self):
-        c = [[GaussianRational(2), GaussianRational(1)],
-             [GaussianRational(0), GaussianRational(1)]]
+        c = [[gaussian(2), gaussian(1)],
+             [gaussian(0), gaussian(1)]]
         amap = AffineMap.from_position_part(CH2, c, b=[1, 0], d=[0, 2])
         # p.q pairing is preserved up to affine terms: check the bilinear part
         F = CH2.zero()
@@ -243,6 +242,27 @@ class TestAffineMap:
             m: c for m, c in transformed.terms.items() if m.degree() == 2
         })
         assert quadratic == F
+
+    def test_scaling_by_zero_is_singular(self):
+        with pytest.raises(ChartError, match="matrix is singular"):
+            AffineMap.scaling(CH, 0)
+
+    def test_vector_with_too_many_entries_rejected(self):
+        with pytest.raises(ChartError, match="has 2 entries, not n = 1"):
+            AffineMap(CH, [[1]], [[1]], b=[1, 2])
+
+    def test_vector_with_too_few_entries_rejected(self):
+        eye = [[1, 0], [0, 1]]
+        with pytest.raises(ChartError, match="has 1 entries, not n = 2"):
+            AffineMap(CH2, eye, eye, b=[1]).transform(CH2.var("p2"))
+        with pytest.raises(ChartError, match="has 1 entries, not n = 2"):
+            AffineMap(CH2, [[1, 0], [0]], eye)
+
+    def test_hbar_dependent_entries_rejected(self):
+        with pytest.raises(ChartError, match="must not depend on hbar"):
+            AffineMap.scaling(CH, Coefficient.hbar(1))
+        with pytest.raises(ChartError, match="must not depend on hbar"):
+            AffineMap.translation(CH, d=[Coefficient.hbar(-1, 2)])
 
     def test_jets_rejected(self):
         amap = AffineMap.translation(CH, b=[1])
@@ -266,4 +286,4 @@ class TestLiftCommutators:
     def test_reeb_acts_as_angular_weight(self):
         eta = CH.reeb_field()
         psi = position_wave(CH)
-        assert eta(psi) == psi * GaussianRational(0, 1)
+        assert eta(psi) == psi * gaussian(0, 1)

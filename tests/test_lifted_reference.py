@@ -16,14 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coefficients
+from conftest import coefficients, gaussian
 from starbundle import (
     Chart,
     ChartError,
     Coefficient,
     Derivation,
     EquivariantFunction,
-    GaussianRational,
     WeightFactor,
     bargmann_gaussian,
     driver_tensor,
@@ -74,7 +73,7 @@ def _reference_differentiate(f, var):
     out = EquivariantFunction(f.chart, terms, f.theta_weight, f.jet_vars, f.weight_factor)
     if var == THETA:
         if f.theta_weight:
-            out = out + f * GaussianRational(0, f.theta_weight)
+            out = out + f * gaussian(0, f.theta_weight)
         return out
     if var not in f.chart.variables:
         raise ChartError(f"cannot differentiate along unknown variable {var!r}")
@@ -374,7 +373,7 @@ def _rich_pair(chart):
     jets = _jet_family(chart)
     theta = Monomial([(THETA, 1), (chart.variables[0], 1)], [((1,) + (0,) * (len(jets) - 1), 1)])
     plain = Monomial([(chart.variables[-1], 1)], [((0,) * len(jets), 1)])
-    g = EquivariantFunction(chart, {theta: Coefficient.hbar(-1, GaussianRational(2, -1)),
+    g = EquivariantFunction(chart, {theta: Coefficient.hbar(-1, gaussian(2, -1)),
                                     plain: Coefficient.hbar(1)},
                             theta_weight=1, jet_vars=jets, weight_factor=_factor(chart))
     return f, g

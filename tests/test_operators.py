@@ -236,6 +236,16 @@ class TestDerivedTerms:
         assert dict(op.terms) == {a: p for a, p in table.items() if not p.is_zero()}
         assert op.is_zero() == all(p.is_zero() for p in table.values())
 
+    @pytest.mark.parametrize("rep", [POSITION, Representation.position(CH2), MOMENTUM,
+                                     BARGMANN], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_sorted_terms_walk_the_view_in_printing_order(self, rep, data):
+        op = DiffOperator(rep, data.draw(_term_tables(rep)))
+        assert op.sorted_terms() == [(alpha, mono, coeff)
+                                     for alpha, poly in sorted(op.terms.items())
+                                     for mono, coeff in poly.sorted_terms()]
+
     def test_extract_reaches_quantize_through_the_module_global(self, monkeypatch):
         # perfbench swaps this global for its traced runs
         calls = []

@@ -10,11 +10,11 @@ from starbundle import (
     Chart,
     Coefficient,
     EquivariantFunction,
-    GaussianRational,
     ParseError,
     format_function,
     lower_expression,
 )
+from conftest import gaussian
 from starbundle import parser
 from starbundle.checks import Sampler
 from starbundle.scalars import HBAR_OVER_I
@@ -63,7 +63,7 @@ class TestParsing:
 
     def test_negative_hbar_power(self):
         f = lower_expression("i*hbar^-1*p1", CH)
-        assert f == CH.var("p1") * Coefficient.hbar(-1, GaussianRational(0, 1))
+        assert f == CH.var("p1") * Coefficient.hbar(-1, gaussian(0, 1))
 
     def test_unary_minus(self):
         assert lower_expression("-p1 + q1", CH) == CH.var("q1") - CH.var("p1")
@@ -286,7 +286,7 @@ class _ReferenceReader:
             denominator = self.number() if self.take("/") else 1
             if denominator == 0:
                 raise ParseError("zero denominator", column=token.column)
-            return chart.constant(GaussianRational(Fraction(int(token.text), denominator)))
+            return chart.constant(gaussian(Fraction(int(token.text), denominator)))
         if token.text == "(" and token.kind == "sym":
             self.depth += 1
             if self.depth > parser.MAX_NESTING:
@@ -300,14 +300,14 @@ class _ReferenceReader:
             found = token.text or "end of input"
             raise ParseError(f"expected an atom, found {found!r}", column=token.column)
         if token.text == "i":
-            return chart.constant(GaussianRational(0, 1))
+            return chart.constant(gaussian(0, 1))
         if token.text == "hbar":
             if not self.take("/"):
                 return chart.constant(Coefficient.hbar(1))
             if self.token().kind != "name" or self.token().text != "i":
                 raise ParseError("expected 'i' after 'hbar/'", column=self.token().column)
             self.pos += 1
-            return chart.constant(Coefficient.hbar(1, GaussianRational(0, -1)))
+            return chart.constant(Coefficient.hbar(1, gaussian(0, -1)))
         if token.text == "psi":
             self.need("(")
             orders = [self.number()]
@@ -346,8 +346,8 @@ def _reference_is_unit_term(f):
         return False
     (coeff,) = f.terms.values()
     entries = coeff.items()
-    return len(entries) == 1 and entries[0][1] in (1, -1, GaussianRational(0, 1),
-                                                    GaussianRational(0, -1))
+    return len(entries) == 1 and entries[0][1] in (1, -1, gaussian(0, 1),
+                                                    gaussian(0, -1))
 
 
 def _reference_largest_exponent(f):
@@ -367,7 +367,7 @@ def _reference_invert_scalar(f):
     if len(entries) != 1:
         raise ParseError("negative powers are only defined for single-term scalars")
     k, c = entries[0]
-    return Coefficient({-k: GaussianRational(1) / c})
+    return Coefficient({-k: gaussian(1) / c})
 
 
 def _outcome(lower, text, jet_vars):

@@ -4,13 +4,12 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings
 
-from conftest import observables
+from conftest import gaussian, observables
 from starbundle import (
     Chart,
     ChartError,
     Coefficient,
     EquivariantFunction,
-    GaussianRational,
     ObservableError,
     PolarizationError,
     agarwal_transform,
@@ -51,7 +50,7 @@ class TestDriverTensor:
     def test_wick_pair(self):
         wick = driver_tensor("wick", BC)
         s, t = wick.pairs[0]
-        assert s == BC.coordinate_field("zb", GaussianRational(0, 2))
+        assert s == BC.coordinate_field("zb", gaussian(0, 2))
         assert t == BC.coordinate_field("z")
 
     def test_wick_requires_bargmann(self):
@@ -126,7 +125,7 @@ class TestApplyDriver:
         F = CH.var("p1") * CH.var("q1")
         psi = position_wave(CH)
         terms = pi.power_terms(F, psi, 2)
-        expected_right = psi * Coefficient.hbar(-1, GaussianRational(0, -1))
+        expected_right = psi * Coefficient.hbar(-1, gaussian(0, -1))
         assert terms == [(-CH.one(), expected_right)]
         # and the assembled tensor term is +(i/hbar) psi
         assembled = terms[0][0] * terms[0][1]
@@ -153,7 +152,7 @@ def normal_star_monomial_oracle(a, b, c, d):
 
 def moyal_star_1d_oracle(F, G):
     """The standard half-coefficient series, written with raw partials only."""
-    half = Coefficient({1: GaussianRational(0, Fraction(-1, 2))})
+    half = Coefficient({1: gaussian(0, Fraction(-1, 2))})
     total = CH.zero()
     k = 0
     while True:
@@ -186,7 +185,7 @@ class TestStarProduct:
 
     def test_moyal_canonical_pair(self):
         p, q = CH.var("p1"), CH.var("q1")
-        half = Coefficient({1: GaussianRational(0, Fraction(-1, 2))})
+        half = Coefficient({1: gaussian(0, Fraction(-1, 2))})
         assert star_product("moyal", p, q) == p * q + CH.constant(half)
         assert star_product("moyal", q, p) == p * q - CH.constant(half)
 
@@ -345,7 +344,7 @@ class TestYanoLaplacian:
 
     def test_bargmann_modulus_squared(self):
         got = yano_laplacian(BC, BC.var("z") * BC.var("zb"))
-        assert got == BC.constant(GaussianRational(0, -2))
+        assert got == BC.constant(gaussian(0, -2))
 
     def test_sums_over_pairs(self):
         F = CH2.var("p1") * CH2.var("q1") + CH2.var("p2") * CH2.var("q2")
@@ -355,7 +354,7 @@ class TestYanoLaplacian:
 class TestAgarwalTransform:
     def test_pq_correction(self):
         F = CH.var("p1") * CH.var("q1")
-        half = Coefficient.hbar(1, GaussianRational(0, Fraction(-1, 2)))
+        half = Coefficient.hbar(1, gaussian(0, Fraction(-1, 2)))
         assert agarwal_transform(CH, F) == F + CH.constant(half)
 
     def test_bargmann_correction(self):
@@ -431,7 +430,7 @@ class TestModuleIdentity:
         star_pq = exponential_product(pi, p, q, HBAR_OVER_I)
         defect = bullet_product("moyal", star_pq, psi) \
             - bullet_product("moyal", p, bullet_product("moyal", q, psi))
-        half = Coefficient({1: GaussianRational(0, Fraction(-1, 2))})
+        half = Coefficient({1: gaussian(0, Fraction(-1, 2))})
         assert defect == psi * half
 
     def test_moyal_on_bargmann_polarized_waves(self):

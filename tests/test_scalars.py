@@ -2,38 +2,58 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import coefficients, gaussians
-from starbundle import Coefficient, GaussianRational, LimitError
-from starbundle.scalars import GR_I, HBAR_OVER_I, I_OVER_HBAR, MAX_DIGITS
+from conftest import coefficients, gaussian, gaussians
+from starbundle import Coefficient, LimitError
+from starbundle.scalars import C_I, HBAR_OVER_I, I_OVER_HBAR, MAX_DIGITS
 
 
-class TestGaussianRational:
+def pair(x: Coefficient):
+    """(re, im) of a constant Coefficient, read through parts()."""
+    (k, (rn, rd), (jn, jd)), = x.parts() or [(0, (0, 1), (0, 1))]
+    assert k == 0
+    return (Fraction(rn, rd), Fraction(jn, jd))
+
+
+def laurent(c: Coefficient):
+    """{hbar exponent: (re, im)}, read through parts()."""
+    return {k: (Fraction(*re), Fraction(*im)) for k, re, im in c.parts()}
+
+
+class TestGaussianConstant:
     def test_exact_construction(self):
-        x = GaussianRational(Fraction(2, 4), Fraction(-6, 4))
-        assert x.re == Fraction(1, 2)
-        assert x.im == Fraction(-3, 2)
+        x = gaussian(Fraction(2, 4), Fraction(-6, 4))
+        assert x.parts() == [(0, (1, 2), (-3, 2))]
+        assert pair(x) == (Fraction(1, 2), Fraction(-3, 2))
 
     def test_one_plus_i_times_one_minus_i(self):
-        assert GaussianRational(1, 1) * GaussianRational(1, -1) == GaussianRational(2)
+        assert gaussian(1, 1) * gaussian(1, -1) == gaussian(2)
 
     def test_i_squared(self):
-        assert GR_I * GR_I == GaussianRational(-1)
+        assert C_I * C_I == gaussian(-1)
 
     def test_division_roundtrip(self):
-        x = GaussianRational(Fraction(3, 7), Fraction(-2, 5))
-        y = GaussianRational(Fraction(1, 3), Fraction(4))
+        x = gaussian(Fraction(3, 7), Fraction(-2, 5))
+        y = gaussian(Fraction(1, 3), Fraction(4))
         assert (x / y) * y == x
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            GaussianRational(1) / GaussianRational(0)
+            gaussian(1) / gaussian(0)
+        with pytest.raises(ZeroDivisionError):
+            Coefficient.hbar(1) / 0
+
+    def test_division_by_several_hbar_powers(self):
+        with pytest.raises(ValueError, match="single term"):
+            gaussian(1) / (Coefficient.hbar(1) + 1)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
-            GaussianRational(1).re = Fraction(2)
+            gaussian(1).re = Fraction(2)
+        with pytest.raises(AttributeError):
+            C_I._data = {}
 
     @given(gaussians, gaussians)
     def test_commutative(self, x, y):
@@ -57,15 +77,28 @@ class TestCoefficient:
         assert HBAR_OVER_I * I_OVER_HBAR == Coefficient.one()
 
     def test_product_adds_exponents(self):
-        x = Coefficient.hbar(2, GaussianRational(0, 1))
+        x = Coefficient.hbar(2, C_I)
         y = Coefficient.hbar(-3, 2)
-        assert (x * y).items() == [(-1, GaussianRational(0, 2))]
+        assert (x * y).items() == [(-1, gaussian(0, 2))]
+
+    def test_items_yields_constant_coefficients(self):
+        items = (HBAR_OVER_I + Coefficient.hbar(-2, Fraction(1, 3))).items()
+        assert items == [(-2, Fraction(1, 3)), (1, -C_I)]
+        assert all(type(value) is Coefficient for _, value in items)
 
     def test_zero_entries_dropped(self):
-        c = Coefficient({0: GaussianRational(1), 1: GaussianRational(0)})
-        assert c.items() == [(0, GaussianRational(1))]
+        c = Coefficient({0: gaussian(1), 1: gaussian(0)})
+        assert c.items() == [(0, gaussian(1))]
         assert (c - c).items() == []
         assert not (c - c)
+
+    def test_constructor_values(self):
+        expected = Coefficient.hbar(1, 3) + Coefficient.hbar(2, Fraction(1, 2)) + Coefficient.hbar(3, C_I)
+        assert Coefficient({1: 3, 2: Fraction(1, 2), 3: C_I}) == expected
+        with pytest.raises(TypeError, match="Gaussian rational"):
+            Coefficient({0: Coefficient.hbar(1)})
+        with pytest.raises(TypeError, match="Gaussian rational"):
+            Coefficient.hbar(2, 0.5)
 
     def test_pow(self):
         assert HBAR_OVER_I ** 2 == Coefficient.hbar(2, -1)
@@ -74,13 +107,21 @@ class TestCoefficient:
             HBAR_OVER_I ** -1
 
     def test_conjugate_keeps_hbar_real(self):
-        assert HBAR_OVER_I.conjugate() == Coefficient.hbar(1, GaussianRational(0, 1))
+        assert HBAR_OVER_I.conjugate() == Coefficient.hbar(1, C_I)
+
+    def test_str_and_repr(self):
+        mixed = Coefficient({0: gaussian(Fraction(1, 2), -1), 2: gaussian(0, Fraction(3, 4)), -3: 5})
+        assert str(mixed) == "5*hbar^-3 + (1/2 - 1*i) + 3/4*i*hbar^2"
+        assert str(HBAR_OVER_I) == "-1*i*hbar"
+        assert str(I_OVER_HBAR) == "1*i*hbar^-1"
+        assert str(Coefficient.hbar(1, gaussian(Fraction(-1, 3), Fraction(2, 5)))) == "(-1/3 + 2/5*i)*hbar"
+        assert str(Coefficient.zero()) == "0"
+        assert repr(C_I) == "Coefficient(1*i)"
 
     def test_parts_refuse_numbers_past_max_digits(self):
         largest = 10 ** MAX_DIGITS - 1
-        assert Coefficient({0: GaussianRational(largest)}).parts() == [(0, (largest, 1), (0, 1))]
-        for value in (GaussianRational(largest + 1), GaussianRational(0, -largest - 1),
-                      GaussianRational(Fraction(1, largest + 1))):
+        assert Coefficient({0: largest}).parts() == [(0, (largest, 1), (0, 1))]
+        for value in (largest + 1, gaussian(0, -largest - 1), Fraction(1, largest + 1)):
             with pytest.raises(LimitError, match="MAX_DIGITS"):
                 Coefficient.hbar(-1, value).parts()
 
@@ -100,13 +141,14 @@ class TestCoefficient:
 # -- hashing agrees with equality ---------------------------------------------
 
 
-def _forms(value: GaussianRational):
-    """Every representation that compares equal to ``value``."""
-    forms = [value, Coefficient.coerce(value)]
-    if not value.im:
-        forms.append(value.re)
-        if value.re.denominator == 1:
-            forms.append(int(value.re))
+def _forms(value: Coefficient):
+    """Every representation that compares equal to the constant ``value``."""
+    re, im = pair(value)
+    forms = [value, Coefficient({0: value}), Coefficient.hbar(0, value)]
+    if not im:
+        forms.append(re)
+        if re.denominator == 1:
+            forms.append(int(re))
     return forms
 
 
@@ -122,15 +164,15 @@ class TestHashMatchesEquality:
 
     @given(gaussians, gaussians)
     def test_any_equal_pair_hashes_equal(self, x, y):
-        for a in _forms(x):
-            for b in _forms(y):
+        for a in _forms(x) + [Coefficient.hbar(1, x)]:
+            for b in _forms(y) + [Coefficient.hbar(1, y)]:
                 if a == b:
                     assert hash(a) == hash(b)
 
     def test_documented_cases(self):
-        assert len({GaussianRational(2), 2}) == 1
-        assert len({Coefficient.one(), 1, GaussianRational(1)}) == 1
-        assert len({Coefficient.zero(), 0, Fraction(0), GaussianRational(0)}) == 1
+        assert len({gaussian(2), 2}) == 1
+        assert len({Coefficient.one(), 1, gaussian(1)}) == 1
+        assert len({Coefficient.zero(), 0, Fraction(0), gaussian(0)}) == 1
         assert len({Coefficient.hbar(0, Fraction(1, 3)), Fraction(1, 3)}) == 1
 
 
@@ -165,26 +207,16 @@ def ref_laurent_mul(x, y):
     return out
 
 
-def pair(x: GaussianRational):
-    return (x.re, x.im)
-
-
-def laurent(c: Coefficient):
-    return {k: pair(v) for k, v in c.items()}
-
-
-def assert_canonical(value):
-    triples = [value._t] if isinstance(value, GaussianRational) else list(value._data.values())
-    for a, b, d in triples:
+def assert_canonical(value: Coefficient):
+    for a, b, d in value._data.values():
         assert all(type(n) is int for n in (a, b, d))
         assert d > 0
         assert gcd(a, b, d) == 1
-        if isinstance(value, Coefficient):
-            assert (a, b) != (0, 0)
+        assert (a, b) != (0, 0)
 
 
 wide_fractions = st.fractions(min_value=-60, max_value=60, max_denominator=36)
-wide_gaussians = st.builds(GaussianRational, wide_fractions, wide_fractions)
+wide_gaussians = st.builds(gaussian, wide_fractions, wide_fractions)
 laurents = st.builds(
     lambda pairs: Coefficient(dict(pairs)),
     st.lists(st.tuples(st.integers(-3, 3), wide_gaussians), max_size=4),
@@ -210,10 +242,22 @@ class TestAgainstFractionReference:
 
     @given(wide_gaussians, wide_fractions, st.integers(-5, 5))
     def test_mixed_operands(self, x, f, n):
-        assert pair(x * f) == ref_mul(pair(x), (f, 0))
-        assert pair(n - x) == (n - x.re, -x.im)
+        re, im = pair(x)
+        assert pair(x * f) == ref_mul((re, im), (f, 0))
+        assert pair(n - x) == (n - re, -im)
+        if n:
+            assert pair(x / n) == ref_div((re, im), (Fraction(n), Fraction(0)))
         assert_canonical(x * f)
         assert_canonical(n - x)
+
+    @given(laurents, wide_gaussians, st.integers(-3, 3))
+    def test_division_by_a_single_term(self, a, y, k):
+        assume(y)
+        inverse = ref_div((1, 0), pair(y))
+        want = {e - k: ref_mul(v, inverse) for e, v in laurent(a).items()}
+        got = a / Coefficient.hbar(k, y)
+        assert laurent(got) == want
+        assert_canonical(got)
 
     @given(laurents, laurents)
     def test_laurent_arithmetic(self, a, b):
@@ -232,6 +276,17 @@ class TestAgainstFractionReference:
             assert laurent(got) == want, op
             assert_canonical(got)
 
+    @given(laurents, laurents)
+    def test_division_refusals(self, a, b):
+        if not b:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        elif len(laurent(b)) > 1:
+            with pytest.raises(ValueError, match="single term"):
+                a / b
+        else:
+            assert (a / b) * b == a
+
     @given(laurents, st.integers(0, 4))
     def test_laurent_power(self, a, n):
         want = {0: (1, 0)}
@@ -247,8 +302,8 @@ class TestAgainstFractionReference:
         assert_canonical(got)
 
     def test_cancelling_exponents(self):
-        x = Coefficient({1: 1, -1: GaussianRational(0, 1)})
-        y = Coefficient({1: 1, -1: GaussianRational(0, -1)})
+        x = Coefficient({1: 1, -1: C_I})
+        y = Coefficient({1: 1, -1: -C_I})
         product = x * y
         assert laurent(product) == {2: (1, 0), -2: (1, 0)}
         assert 0 not in product._data

@@ -16,14 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coefficients, observables
+from conftest import coefficients, gaussian, observables
 from starbundle import (
     Chart,
     ChartError,
     Coefficient,
     DiffOperator,
     EquivariantFunction,
-    GaussianRational,
     Representation,
     agarwal_transform,
     yano_laplacian,
@@ -91,7 +90,7 @@ def _reference_adjoint(a):
 
 
 def _reference_agarwal(chart, f):
-    half_i_hbar = Coefficient.hbar(1, GaussianRational(0, 1) / 2)
+    half_i_hbar = Coefficient.hbar(1, gaussian(0, 1) / 2)
     total = term = f
     k = 0
     while True:
